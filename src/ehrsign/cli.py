@@ -306,9 +306,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry():  # console_scripts hook
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -145,13 +145,19 @@ def breakpoints_for(q_i: int, n: int) -> list[tuple[int, int]]:
     return [(_ceil_div(m * n, qa), -1) for m in range(1, qa)]
 
 
-def difference_poly(s: DeltaQ) -> Poly:
-    """The sparse difference polynomial F(x) = sum_i sum_j (jump of
-    ceil(q_i*j/n)) x^j, the fast path's intermediate."""
+def _net_jumps(s: DeltaQ) -> dict[int, int]:
+    """Net jump of sum_i ceil(q_i*j/n) at each breakpoint position j."""
     net: dict[int, int] = {}
     for q in s.q_full:
         for pos, sign in breakpoints_for(q, s.n):
             net[pos] = net.get(pos, 0) + sign
+    return net
+
+
+def difference_poly(s: DeltaQ) -> Poly:
+    """The sparse difference polynomial F(x) = sum_i sum_j (jump of
+    ceil(q_i*j/n)) x^j, the fast path's intermediate."""
+    net = _net_jumps(s)
     if not net:
         return Poly.zero()
     out = [0] * (max(net) + 1)
@@ -191,11 +197,7 @@ def hstar_fast(s: DeltaQ) -> HStar:
             "hstar_fast requires n >= max|q_i| (q_d included); "
             "fall back to hstar_naive"
         )
-    net: dict[int, int] = {}
-    for q in s.q_full:
-        for pos, sign in breakpoints_for(q, s.n):
-            net[pos] = net.get(pos, 0) + sign
-    return HStar(_plateau_reconstruct(net, s.n, s.d, 0), s.d)
+    return HStar(_plateau_reconstruct(_net_jumps(s), s.n, s.d, 0), s.d)
 
 
 Method = Literal["auto", "fast", "naive"]

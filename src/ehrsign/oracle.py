@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delta import DeltaQ, HStar
-from .polynomials import Poly, binom_poly
+from .polynomials import Poly
 
 
 class OracleGuardError(ValueError):
@@ -92,20 +92,9 @@ def count_points(
 
 def interpolate_ehrhart(s: DeltaQ, **guard_kwargs) -> Poly:
     """Lagrange interpolation of the counting function through t = 0..d."""
-    d = s.d
-    ts = list(range(d + 1))
-    ys = [count_points(s, t, **guard_kwargs).count for t in ts]
-    # Lagrange in exact rationals
-    poly = Poly.zero()
-    for i, ti in enumerate(ts):
-        basis = Poly.one()
-        denom = 1
-        for j, tj in enumerate(ts):
-            if j != i:
-                basis = basis * Poly((-tj, 1))
-                denom *= ti - tj
-        poly = poly + basis.scale(Fraction(ys[i], denom))
-    return poly
+    return interpolate_through(
+        [(t, count_points(s, t, **guard_kwargs).count) for t in range(s.d + 1)]
+    )
 
 
 def hstar_via_counts(s: DeltaQ, **guard_kwargs) -> HStar:
@@ -169,12 +158,3 @@ def interpolate_through(points: list[tuple[int, int]]) -> Poly:
                 denom *= ti - tj
         poly = poly + basis.scale(Fraction(yi, denom))
     return poly
-
-
-def ehrhart_from_hstar_poly(h: Poly, d: int) -> Poly:
-    """sum_i h_i * C(t + d - i, d); shared by oracle checks and tests."""
-    out = Poly.zero()
-    for i, c in enumerate(h.coeffs):
-        if c:
-            out = out + binom_poly(d - i, d).scale(c)
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
 
@@ -197,7 +197,3 @@ def poly_from_json(obj: dict) -> Poly:
 
 def all_integer(p: Poly) -> bool:
     return all(isinstance(c, int) for c in p.coeffs)
-
-
-def as_fraction_coeffs(p: Poly) -> Sequence[Fraction]:
-    return tuple(Fraction(c) for c in p.coeffs)

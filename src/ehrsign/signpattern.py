@@ -5,9 +5,10 @@ The hard shape (leading -1 followed by blocks of +1, -1, ..., -1) is served
 by a product of dilated Eulerian simplices and a dilated Reeve tetrahedron,
 with exponents synthesized greedily from exact rational parameters; the
 remaining shapes reduce recursively (products with intervals, the Reeve
-tetrahedron, or a sheared quadrilateral).  Every "sufficiently large"
-parameter is found by geometric search with exact verification, so each
-returned witness is certified by its own Ehrhart polynomial.
+tetrahedron, or a sheared quadrilateral).  Each recursive step computes a
+proven bound for its parameter and certifies the witness with one exact
+Ehrhart expansion.  Only the hard shape searches: over the base b up to
+max_b, halving epsilon once as its fallback.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ from .ehrhart import (
     expr_from_json,
     expr_to_json,
     sign_vector,
+    _sgn,
 )
 from .polynomials import Poly
 
-DOUBLING_CAP = 2**20
 DEFAULT_MAX_BASE = 64
 
 Pattern = tuple[int, ...]
 
 
 class SearchExhausted(RuntimeError):
-    """A verified search ran out of budget; carries the failing context."""
+    """No certified witness: a step's exact check failed or the Case-6 search
+    ran out of bases; carries the failing context."""
 
     def __init__(self, case: str, pattern: Pattern, last_sign_vector=None):
         self.case = case
@@ -276,16 +278,12 @@ def instantiate(d_list, params: GreedyParams, b: int) -> PolytopeExpr:
 
 
 def verify_expr(e: PolytopeExpr, p: Pattern) -> bool:
-    """True iff the exact sign vector matches p (leading, second, and
-    constant coefficients are positive by construction and re-checked)."""
+    """True iff the exact sign vector matches p (EhrhartPoly itself rejects
+    a non-positive leading, second or constant coefficient)."""
     p = validate_pattern(p)
     if e.dim != len(p) + 2:
         raise ValueError(f"dimension mismatch: expr dim {e.dim}, pattern wants {len(p) + 2}")
-    ehr = expr_ehrhart(e)
-    d = ehr.dim
-    if ehr.poly[d] <= 0 or ehr.poly[d - 1] <= 0 or ehr.poly[0] <= 0:
-        return False
-    return sign_vector(ehr) == p
+    return sign_vector(expr_ehrhart(e)) == p
 
 
 def construct_case6(
@@ -338,14 +336,6 @@ def _catalog() -> dict:
     return _load_catalog()
 
 
-def _sgn(c) -> int:
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    return 0
-
-
 def _floor_ratio(num, den) -> int:
     """floor(|num| / |den|) exactly, for int or Fraction inputs."""
     f = abs(Fraction(num)) / abs(Fraction(den))
@@ -391,30 +381,28 @@ def _product_threshold(p1, d1: int, p2, pattern: Pattern, d: int) -> int | None:
     return r0
 
 
-def _retry_scales(base: int, rounds: int = 6):
-    """base, 2*base, ... : the computed threshold is provably sufficient, so
-    the extra rounds are pure safety margin."""
-    for i in range(rounds):
-        yield base << i
-
-
-def construct(
-    pattern, max_b: int = DEFAULT_MAX_BASE, doubling_cap: int = DOUBLING_CAP
-) -> ConstructResult:
+def construct(pattern, max_b: int = DEFAULT_MAX_BASE) -> ConstructResult:
     """Resolve any +/- pattern (length d-2 >= 1) to a verified witness."""
     pattern = validate_pattern(pattern)
-    return _construct(pattern, max_b, doubling_cap)
+    return _construct(pattern, max_b)
 
 
-def _finish(expr: PolytopeExpr, pattern: Pattern, trace: tuple[str, ...]) -> ConstructResult:
+def _certify(
+    expr: PolytopeExpr, pattern: Pattern, step: str, *subs: ConstructResult
+) -> ConstructResult:
+    """Expand the witness once; return it with the step's trace followed by
+    the sub-witnesses' traces, or raise SearchExhausted carrying the exact
+    sign vector when it does not realize the pattern."""
     ehr = expr_ehrhart(expr)
-    if sign_vector(ehr) != pattern:
-        raise AssertionError("internal error: verified witness re-check failed")
+    sv = sign_vector(ehr)
+    if sv != pattern:
+        raise SearchExhausted(step.partition("[")[0], pattern, sv)
+    trace = (step,) + tuple(t for sub in subs for t in sub.trace)
     return ConstructResult(expr, ehr, trace)
 
 
 @lru_cache(maxsize=None)
-def _construct(pattern: Pattern, max_b: int, cap: int) -> ConstructResult:
+def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     d = len(pattern) + 2
 
     if len(pattern) == 0:
@@ -422,123 +410,82 @@ def _construct(pattern: Pattern, max_b: int, cap: int) -> ConstructResult:
         return ConstructResult(_DIM2_BASE, ehr, ("base-dim2",))
 
     if d in (3, 4):
-        expr = _catalog()[format_pattern(pattern)]
-        if not verify_expr(expr, pattern):
-            raise AssertionError("base catalog witness failed verification")
-        return _finish(expr, pattern, (f"catalog-d{d}",))
+        return _certify(_catalog()[format_pattern(pattern)], pattern, f"catalog-d{d}")
 
     # Case 1: top middle coefficient positive -> r*Q x [0,1].  The product
     # coefficients are r^j c_j + r^{j-1} c_{j-1}, so any r beyond the largest
     # |c_{j-1}/c_j| ratio keeps every middle sign equal to sgn(c_j).
     if pattern[0] == 1:
-        sub = _construct(pattern[1:], max_b, cap)
+        sub = _construct(pattern[1:], max_b)
         c = sub.ehrhart.poly
-        r0 = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
-        for r in _retry_scales(r0):
-            expr = sub.expr.dilated(r) * PolytopeExpr(((1, Interval(1)),))
-            if verify_expr(expr, pattern):
-                return _finish(expr, pattern, (f"case1[r={r}]",) + sub.trace)
-        raise SearchExhausted("case1", pattern)
+        r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
+        expr = sub.expr.dilated(r) * PolytopeExpr(((1, Interval(1)),))
+        return _certify(expr, pattern, f"case1[r={r}]", sub)
 
     # Case 2: bottom middle coefficient positive -> Q x [0,m]; coefficients
     # are m*c_{j-1} + c_j, linear in m, so solve for the smallest m directly.
     if pattern[-1] == 1:
-        sub = _construct(pattern[:-1], max_b, cap)
+        sub = _construct(pattern[:-1], max_b)
         c = sub.ehrhart.poly
         m = _solve_linear(c.shift(1), c, pattern, d)
-        if m is not None:
-            for mm in _retry_scales(m):
-                expr = sub.expr * PolytopeExpr(((1, Interval(mm)),))
-                if verify_expr(expr, pattern):
-                    return _finish(expr, pattern, (f"case2[m={mm}]",) + sub.trace)
-        raise SearchExhausted("case2", pattern)
+        if m is None:
+            raise SearchExhausted("case2", pattern)
+        expr = sub.expr * PolytopeExpr(((1, Interval(m)),))
+        return _certify(expr, pattern, f"case2[m={m}]", sub)
 
     # Case 3: top two and bottom negative -> r*Q x ReeveT(m), Q realizing the
     # negated inner pattern.  i(ReeveT(m),t) = m*(t^3-t)/6 + (t^2+2t+1): with
     # u_j = r^j c_j the m-coefficient is (u_{j-3} - u_{j-1})/6, dominated by
     # -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
     if pattern[0] == -1 and pattern[1] == -1 and pattern[-1] == -1:
-        sub = _construct(tuple(-s for s in pattern[2:-1]), max_b, cap)
+        sub = _construct(tuple(-s for s in pattern[2:-1]), max_b)
         c = sub.ehrhart.poly
-        r0 = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
+        r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
+        qr = c.compose_scale(r)
         reeve_m = Poly((0, -Fraction(1, 6), 0, Fraction(1, 6)))
-        reeve_rest = Poly((1, 2, 1))
-        for r in _retry_scales(r0):
-            qr = c.compose_scale(r)
-            m = _solve_linear(qr * reeve_m, qr * reeve_rest, pattern, d)
-            if m is None:
-                continue
-            expr = sub.expr.dilated(r) * PolytopeExpr(((1, ReeveT(m)),))
-            if verify_expr(expr, pattern):
-                return _finish(expr, pattern, (f"case3[r={r},m={m}]",) + sub.trace)
-        raise SearchExhausted("case3", pattern)
+        m = _solve_linear(qr * reeve_m, qr * Poly((1, 2, 1)), pattern, d)
+        if m is None:
+            raise SearchExhausted("case3", pattern)
+        expr = sub.expr.dilated(r) * PolytopeExpr(((1, ReeveT(m)),))
+        return _certify(expr, pattern, f"case3[r={r},m={m}]", sub)
 
     # Case 4: tail (-,+,-) -> r*Q x Quad(a).  i(Quad(a),t) = a*t^2 + 2t + 1;
     # the t-coefficient of the product is 2 + r*c_1 (a-independent), so r must
     # make it negative (c_1 < 0 by the guard); the rest is linear in a.
     if pattern[-1] == -1 and pattern[-2] == 1 and pattern[-3] == -1:
-        sub = _construct(pattern[:-2], max_b, cap)
+        sub = _construct(pattern[:-2], max_b)
         c = sub.ehrhart.poly
         if not c[1] < 0:
             raise SearchExhausted("case4", pattern)
-        r0 = 1 + _floor_ratio(2, c[1])
-        quad_rest = Poly((1, 2))
-        for r in _retry_scales(r0):
-            qr = c.compose_scale(r)
-            a = _solve_linear(qr.shift(2), qr * quad_rest, pattern, d)
-            if a is None:
-                continue
-            expr = sub.expr.dilated(r) * PolytopeExpr(((1, Quad(a)),))
-            if verify_expr(expr, pattern):
-                return _finish(expr, pattern, (f"case4[r={r},a={a}]",) + sub.trace)
-        raise SearchExhausted("case4", pattern)
+        r = 1 + _floor_ratio(2, c[1])
+        qr = c.compose_scale(r)
+        a = _solve_linear(qr.shift(2), qr * Poly((1, 2)), pattern, d)
+        if a is None:
+            raise SearchExhausted("case4", pattern)
+        expr = sub.expr.dilated(r) * PolytopeExpr(((1, Quad(a)),))
+        return _certify(expr, pattern, f"case4[r={r},a={a}]", sub)
 
-    # Case 5: two consecutive +1 -> split product r*Q1 x Q2 / Q1 x r*Q2
+    # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
+    # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
+    # factor, of dimension k, needs s_k = s_{k-1} = +1, where s_i = pattern[d-2-i].
     if any(pattern[i] == pattern[i + 1] == 1 for i in range(len(pattern) - 1)):
-        for d1 in range(d - 2, 1, -1):
+        for d1 in range(d - 2, (d - 1) // 2, -1):  # d1 >= d2
             d2 = d - d1
-            if d2 < 2 or d1 < d2:
-                continue
-            # s_i = pattern[d-2-i]
-            def s(i):
-                return pattern[d - 2 - i]
-
-            if d1 <= d - 2 and s(d1) == 1 and s(d1 - 1) == 1:
-                sub1 = _construct(pattern[d - d1 :], max_b, cap)  # dims d1
-                sub2 = _construct(pattern[: d2 - 2], max_b, cap)  # dims d2
-                r0 = _product_threshold(
-                    sub1.ehrhart.poly, d1, sub2.ehrhart.poly, pattern, d
+            for case, k in (("case5.1", d1), ("case5.2", d2)):
+                if pattern[d - 2 - k] != 1 or pattern[d - 1 - k] != 1:
+                    continue
+                top = _construct(pattern[d - k :], max_b)  # dims k, dilated
+                low = _construct(pattern[: d - k - 2], max_b)  # dims d - k
+                r = _product_threshold(
+                    top.ehrhart.poly, k, low.ehrhart.poly, pattern, d
                 )
-                if r0 is not None:
-                    for r in _retry_scales(r0):
-                        expr = sub1.expr.dilated(r) * sub2.expr
-                        if verify_expr(expr, pattern):
-                            return _finish(
-                                expr,
-                                pattern,
-                                (f"case5.1[d1={d1},d2={d2},r={r}]",)
-                                + sub1.trace
-                                + sub2.trace,
-                            )
-                raise SearchExhausted("case5.1", pattern)
-            if d2 <= d - 2 and s(d2) == 1 and s(d2 - 1) == 1:
-                sub1 = _construct(pattern[: d1 - 2], max_b, cap)  # dims d1
-                sub2 = _construct(pattern[d - d2 :], max_b, cap)  # dims d2
-                r0 = _product_threshold(
-                    sub2.ehrhart.poly, d2, sub1.ehrhart.poly, pattern, d
-                )
-                if r0 is not None:
-                    for r in _retry_scales(r0):
-                        expr = sub1.expr * sub2.expr.dilated(r)
-                        if verify_expr(expr, pattern):
-                            return _finish(
-                                expr,
-                                pattern,
-                                (f"case5.2[d1={d1},d2={d2},r={r}]",)
-                                + sub1.trace
-                                + sub2.trace,
-                            )
-                raise SearchExhausted("case5.2", pattern)
+                if r is None:
+                    raise SearchExhausted(case, pattern)
+                step = f"{case}[d1={d1},d2={d2},r={r}]"
+                dilated = top.expr.dilated(r)
+                if case == "case5.1":
+                    return _certify(dilated * low.expr, pattern, step, top, low)
+                return _certify(low.expr * dilated, pattern, step, low, top)
         raise SearchExhausted("case5", pattern)
 
     # Case 6: the residual shape always decomposes

@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from ehrsign.delta import DeltaQ, hstar_naive
+from ehrsign.ehrhart import from_hstar
 from ehrsign.oracle import (
     DilationCount,
     OracleGuardError,
     count_points,
     count_quad_points,
     count_simplex_points,
-    ehrhart_from_hstar_poly,
     hstar_via_counts,
     interpolate_ehrhart,
     interpolate_through,
@@ -126,7 +126,7 @@ def test_interpolate_matches_hstar_conversion():
         head = tuple(rng.randint(-4, 4) for _ in range(d - 1))
         s = DeltaQ(head, rng.randint(1, 10))
         direct = interpolate_ehrhart(s)
-        via_h = ehrhart_from_hstar_poly(hstar_naive(s).poly, d)
+        via_h = from_hstar(hstar_naive(s), d).poly
         assert direct == via_h, s
 
 

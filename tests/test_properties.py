@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrsign.delta import DeltaQ, difference_poly, hstar_fast, hstar_naive
+from ehrsign.ehrhart import from_hstar
 from ehrsign.eulerian import lehmer_decode, lehmer_encode
-from ehrsign.oracle import ehrhart_from_hstar_poly
 from ehrsign.polynomials import Poly
 
 
@@ -51,9 +51,9 @@ def test_difference_poly_telescopes(s):
 @settings(max_examples=40, deadline=None)
 def test_ehrhart_count_at_t_equals_one(s):
     # only h_0 and h_1 survive at t = 1: i(P,1) = (d+1) + h_1
-    h = hstar_naive(s).poly
-    e = ehrhart_from_hstar_poly(h, s.d)
-    assert e.eval(1) == (s.d + 1) + h[1]
+    h = hstar_naive(s)
+    e = from_hstar(h, s.d).poly
+    assert e.eval(1) == (s.d + 1) + h.poly[1]
 
 
 @given(st.permutations(list(range(1, 8))))

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from ehrsign import cli, signpattern
 from ehrsign.ehrhart import (
     EulerianS,
     PolytopeExpr,
+    Quad,
     ReeveT,
     expr_ehrhart,
     expr_to_json,
@@ -162,6 +164,57 @@ def test_construct_case_routing():
     assert construct((-1, 1, -1)).trace[0].startswith("case4")
     assert construct((-1, 1, 1, -1, -1)).trace[0].startswith("case5")
     assert construct((-1, 1, -1, -1)).trace[0].startswith("case6")
+
+
+@pytest.fixture
+def fresh_memo():
+    """Run a test against an empty construct memo and leave none behind."""
+    signpattern._construct.cache_clear()
+    yield
+    signpattern._construct.cache_clear()
+
+
+def test_construct_expands_once_per_step(fresh_memo, monkeypatch):
+    calls = []
+    expand = signpattern.expr_ehrhart
+
+    def counting(expr):
+        calls.append(expr)
+        return expand(expr)
+
+    monkeypatch.setattr(signpattern, "expr_ehrhart", counting)
+    res = construct((1,) * 6)
+    assert [t.partition("[")[0] for t in res.trace] == ["case1"] * 4 + ["catalog-d4"]
+    assert len(calls) == 5  # four Case-1 peels and the catalog lookup
+
+
+def test_construct_case5_orientations(fresh_memo):
+    res = construct(parse_pattern("-++-"))
+    assert res.trace == ("case5.1[d1=3,d2=3,r=4]", "catalog-d3", "catalog-d3")
+    assert res.expr == PolytopeExpr(((4, ReeveT(13)), (1, ReeveT(13))))
+    res = construct(parse_pattern("-+-++-"))
+    assert res.trace == (
+        "case5.2[d1=5,d2=3,r=1135012]",
+        "case4[r=13,a=2354]",
+        "catalog-d3",
+        "catalog-d3",
+    )
+    assert res.expr == PolytopeExpr(
+        ((13, ReeveT(13)), (1, Quad(2354)), (1135012, ReeveT(13)))
+    )
+
+
+def test_wrong_catalog_witness_exhausts_search(fresh_memo, monkeypatch, capsys):
+    catalog = dict(signpattern._catalog())
+    catalog["-"] = PolytopeExpr(((1, ReeveT(1)),))  # realizes "+", not "-"
+    monkeypatch.setattr(signpattern, "_catalog", lambda: catalog)
+    with pytest.raises(SearchExhausted) as info:
+        construct((-1,))
+    assert info.value.case == "catalog-d3"
+    assert info.value.last_sign_vector == (1,)
+    assert cli.main(["sign-construct", "--pattern", "-"]) == cli.EXIT_EXHAUSTED
+    err = capsys.readouterr().err
+    assert "search exhausted" in err and "Traceback" not in err
 
 
 def test_construct_random_large_patterns():
