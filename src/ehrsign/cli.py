@@ -25,8 +25,6 @@ from .delta import (
     l1_l2,
 )
 from .ehrhart import (
-    Delta,
-    PolytopeExpr,
     expr_ehrhart,
     expr_from_json,
     expr_to_json,
@@ -36,7 +34,7 @@ from .ehrhart import (
 from .eulerian import eulerian_descent, eulerian_recurrence, sdm, sdm_ehrhart, sdm_hstar
 from .oracle import OracleGuardError, count_points
 from .polynomials import poly_to_json, poly_to_text
-from .signpattern import SearchExhausted, construct, parse_pattern
+from .signpattern import SearchExhausted, construct, format_pattern, parse_pattern
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,18 +50,23 @@ def _parse_q(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"--q must be a comma-separated integer list, got {text!r}")
 
 
-def _delta(q: str, n: int) -> DeltaQ:
+def _domain(fn, *args):
+    """fn(*args), reporting a ValueError (an argument outside fn's domain) as
+    a usage error.  Only computations go through here, never printing, so
+    the int-to-str limit is not relabelled."""
     try:
-        return DeltaQ(_parse_q(q), n)
+        return fn(*args)
     except ValueError as e:
         raise click.UsageError(str(e))
 
 
-def _print_poly(poly, var: str, as_json: bool, label: str | None = None):
+def _delta(q: str, n: int) -> DeltaQ:
+    return _domain(DeltaQ, _parse_q(q), n)
+
+
+def _print_poly(poly, var: str, as_json: bool):
     if as_json:
         click.echo(json.dumps(poly_to_json(poly, var=var)))
-    elif label:
-        click.echo(f"{label} = {poly_to_text(poly, var=var)}")
     else:
         click.echo(poly_to_text(poly, var=var))
 
@@ -99,16 +102,17 @@ def cmd_family(q, n, m, as_json):
     """Characteristic polynomials L1, L2 of the family Delta(0,q^(m))."""
     s = _delta(q, n)
     l1, l2 = l1_l2(s)
+    h_m = _domain(hstar_family, s, m).poly if m is not None else None
     if as_json:
         out = {"L1": poly_to_json(l1, var="x"), "L2": poly_to_json(l2, var="x")}
         if m is not None:
-            out["hstar_m"] = poly_to_json(hstar_family(s, m).poly, var="x")
+            out["hstar_m"] = poly_to_json(h_m, var="x")
         click.echo(json.dumps(out))
         return
     click.echo(f"L1 = {poly_to_text(l1, var='x')}")
     click.echo(f"L2 = {poly_to_text(l2, var='x')}")
     if m is not None:
-        click.echo(f"hstar(m={m}) = {poly_to_text(hstar_family(s, m).poly, var='x')}")
+        click.echo(f"hstar(m={m}) = {poly_to_text(h_m, var='x')}")
 
 
 @cli.command("eulerian")
@@ -122,7 +126,8 @@ def cmd_family(q, n, m, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_eulerian(d, method, as_json):
     """Eulerian polynomial A_d(x)."""
-    poly = eulerian_recurrence(d) if method == "recurrence" else eulerian_descent(d)
+    method_fn = eulerian_recurrence if method == "recurrence" else eulerian_descent
+    poly = _domain(method_fn, d)
     _print_poly(poly, "x", as_json)
 
 
@@ -139,16 +144,16 @@ def cmd_eulerian(d, method, as_json):
 def cmd_sdm(d, m, what, as_json):
     """The Eulerian simplex S_d(m)."""
     if what == "vertices":
-        verts = sdm(d, m).vertices()
+        verts = _domain(sdm, d, m).vertices()
         if as_json:
             click.echo(json.dumps([list(v) for v in verts]))
         else:
             for v in verts:
                 click.echo(" ".join(str(x) for x in v))
     elif what == "hstar":
-        _print_poly(sdm_hstar(d, m).poly, "x", as_json)
+        _print_poly(_domain(sdm_hstar, d, m).poly, "x", as_json)
     else:
-        _print_poly(sdm_ehrhart(d, m), "t", as_json)
+        _print_poly(_domain(sdm_ehrhart, d, m), "t", as_json)
 
 
 @cli.command("ehrhart")
@@ -202,7 +207,7 @@ def cmd_sign_construct(pattern_text, max_base, as_json):
     click.echo(f"pattern = {pattern_text}")
     click.echo(f"expr = {json.dumps(expr_to_json(result.expr))}")
     click.echo(f"ehrhart = {poly_to_text(result.ehrhart.poly, var='t')}")
-    click.echo("sign vector = " + "".join("+" if s > 0 else "-" for s in sv))
+    click.echo(f"sign vector = {format_pattern(sv)}")
     click.echo(f"trace = {' -> '.join(result.trace)}")
 
 

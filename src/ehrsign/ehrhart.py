@@ -7,9 +7,9 @@ descending-degree order, where i(P,t) = 1 + sum c_i t^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Union
+from typing import Union, get_args
 
 from .delta import DeltaQ, HStar, hstar
 from .eulerian import sdm_ehrhart
@@ -230,41 +230,25 @@ def sign_vector(a: EhrhartPoly) -> tuple[int, ...]:
 # --- JSON wire format --------------------------------------------------------
 
 
+_BLOCK_KINDS = {cls.kind: cls for cls in get_args(Block)}
+
+
 def block_to_json(b: Block) -> dict:
-    if isinstance(b, Interval):
-        return {"kind": "interval", "m": b.m}
-    if isinstance(b, ReeveT):
-        return {"kind": "reeve", "m": b.m}
-    if isinstance(b, EulerianS):
-        return {"kind": "eulerian_s", "d": b.d, "m": b.m}
-    if isinstance(b, Quad):
-        return {"kind": "quad", "a": b.a}
-    if isinstance(b, StdSimplex):
-        return {"kind": "std_simplex", "d": b.d}
+    if _BLOCK_KINDS.get(getattr(b, "kind", None)) is not type(b):
+        raise TypeError(f"unknown block {b!r}")
     if isinstance(b, Delta):
-        return {
-            "kind": "delta",
-            "q": list(b.delta.q_head),
-            "n": b.delta.n,
-        }
-    raise TypeError(f"unknown block {b!r}")
+        return {"kind": b.kind, "q": list(b.delta.q_head), "n": b.delta.n}
+    return {"kind": b.kind, **{f.name: getattr(b, f.name) for f in fields(b)}}
 
 
 def block_from_json(obj: dict) -> Block:
     kind = obj["kind"]
-    if kind == "interval":
-        return Interval(int(obj["m"]))
-    if kind == "reeve":
-        return ReeveT(int(obj["m"]))
-    if kind == "eulerian_s":
-        return EulerianS(int(obj["d"]), int(obj["m"]))
-    if kind == "quad":
-        return Quad(int(obj["a"]))
-    if kind == "std_simplex":
-        return StdSimplex(int(obj["d"]))
-    if kind == "delta":
+    cls = _BLOCK_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown block kind {kind!r}")
+    if cls is Delta:
         return Delta(DeltaQ(tuple(int(q) for q in obj["q"]), int(obj["n"])))
-    raise ValueError(f"unknown block kind {kind!r}")
+    return cls(*(int(obj[f.name]) for f in fields(cls)))
 
 
 def expr_to_json(e: PolytopeExpr) -> dict:

@@ -126,7 +126,7 @@ class Poly:
         acc: Coeff = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return _norm_coeff(acc if isinstance(acc, Fraction) else acc)
+        return _norm_coeff(acc)
 
     def compose_scale(self, r: int) -> "Poly":
         """Return p(r*t): coefficient of t^i multiplied by r^i."""

@@ -6,9 +6,11 @@ by a product of dilated Eulerian simplices and a dilated Reeve tetrahedron,
 with exponents synthesized greedily from exact rational parameters; the
 remaining shapes reduce recursively (products with intervals, the Reeve
 tetrahedron, or a sheared quadrilateral).  Each recursive step computes a
-proven bound for its parameter and certifies the witness with one exact
-Ehrhart expansion.  Only the hard shape searches: over the base b up to
-max_b, halving epsilon once as its fallback.
+proven bound for its parameter and certifies the witness by the exact sign
+vector of the product of its sub-witness's Ehrhart polynomial (dilated) and
+the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).  Only the
+hard shape searches: over the base b up to max_b, halving epsilon once as
+its fallback.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from functools import lru_cache
 from importlib import resources
 
 from .ehrhart import (
+    Block,
     EhrhartPoly,
     EulerianS,
     Interval,
     PolytopeExpr,
     Quad,
     ReeveT,
+    block_ehrhart,
     expr_ehrhart,
     expr_from_json,
     expr_to_json,
@@ -318,7 +322,7 @@ class ConstructResult:
     trace: tuple[str, ...]
 
 
-_DIM2_BASE = PolytopeExpr(((1, EulerianS(2, 1)),))
+_DIM2_BLOCK = EulerianS(2, 1)
 
 
 def _load_catalog() -> dict:
@@ -340,25 +344,6 @@ def _floor_ratio(num, den) -> int:
     """floor(|num| / |den|) exactly, for int or Fraction inputs."""
     f = abs(Fraction(num)) / abs(Fraction(den))
     return f.numerator // f.denominator
-
-
-def _solve_linear(A, B, pattern: Pattern, d: int) -> int | None:
-    """Middle coefficients of the candidate are A_j*m + B_j; return the
-    smallest m >= 1 realizing the pattern, or None when no m can (an A_j
-    sign points the wrong way)."""
-    need = 1
-    for idx, s in enumerate(pattern):
-        j = d - 2 - idx
-        a, b = A[j], B[j]
-        if a == 0:
-            if _sgn(b) != s:
-                return None
-            continue
-        if _sgn(a) != s:
-            return None
-        if _sgn(b) != s:
-            need = max(need, _floor_ratio(b, a) + 1)
-    return need
 
 
 def _product_threshold(p1, d1: int, p2, pattern: Pattern, d: int) -> int | None:
@@ -388,12 +373,15 @@ def construct(pattern, max_b: int = DEFAULT_MAX_BASE) -> ConstructResult:
 
 
 def _certify(
-    expr: PolytopeExpr, pattern: Pattern, step: str, *subs: ConstructResult
+    expr: PolytopeExpr, poly: Poly, pattern: Pattern, step: str, *subs: ConstructResult
 ) -> ConstructResult:
-    """Expand the witness once; return it with the step's trace followed by
-    the sub-witnesses' traces, or raise SearchExhausted carrying the exact
-    sign vector when it does not realize the pattern."""
-    ehr = expr_ehrhart(expr)
+    """Certify a step by the exact sign vector of poly, the Ehrhart
+    polynomial of expr as the step built it: the product of its sub-witness's
+    polynomial (dilated) and the new block's closed form, or for a catalog
+    entry its expansion.  Return the witness with the step's trace followed
+    by the sub-witnesses' traces, or raise SearchExhausted carrying the sign
+    vector when it does not realize the pattern."""
+    ehr = EhrhartPoly(poly, expr.dim)
     sv = sign_vector(ehr)
     if sv != pattern:
         raise SearchExhausted(step.partition("[")[0], pattern, sv)
@@ -401,16 +389,45 @@ def _certify(
     return ConstructResult(expr, ehr, trace)
 
 
+def _extend(
+    sub: ConstructResult, r: int, block: Block, pattern: Pattern, step: str
+) -> ConstructResult:
+    """Certify r*sub x block from i(r*sub, t) * i(block, t)."""
+    expr = sub.expr.dilated(r) * PolytopeExpr(((1, block),))
+    poly = sub.ehrhart.poly.compose_scale(r) * block_ehrhart(block).poly
+    return _certify(expr, poly, pattern, step, sub)
+
+
+def _solve_size(qr: Poly, make_block, pattern: Pattern, d: int, case: str) -> int:
+    """Smallest size m >= 1 for which qr * i(make_block(m), t) realizes the
+    pattern.  A block's polynomial is affine in m, with slope P(2) - P(1) and
+    intercept 2P(1) - P(2) for P(m) its closed form, so the middle
+    coefficients are A_j*m + B_j.  SearchExhausted when an A_j sign (a B_j
+    sign where A_j = 0) points the wrong way."""
+    p1, p2 = (block_ehrhart(make_block(m)).poly for m in (1, 2))
+    A, B = qr * (p2 - p1), qr * (p1.scale(2) - p2)
+    need = 1
+    for idx, s in enumerate(pattern):
+        j = d - 2 - idx
+        a, b = A[j], B[j]
+        if _sgn(b if a == 0 else a) != s:
+            raise SearchExhausted(case, pattern)
+        if _sgn(b) != s:
+            need = max(need, _floor_ratio(b, a) + 1)
+    return need
+
+
 @lru_cache(maxsize=None)
 def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     d = len(pattern) + 2
 
     if len(pattern) == 0:
-        ehr = expr_ehrhart(_DIM2_BASE)
-        return ConstructResult(_DIM2_BASE, ehr, ("base-dim2",))
+        expr = PolytopeExpr(((1, _DIM2_BLOCK),))
+        return ConstructResult(expr, block_ehrhart(_DIM2_BLOCK), ("base-dim2",))
 
     if d in (3, 4):
-        return _certify(_catalog()[format_pattern(pattern)], pattern, f"catalog-d{d}")
+        expr = _catalog()[format_pattern(pattern)]
+        return _certify(expr, expr_ehrhart(expr).poly, pattern, f"catalog-d{d}")
 
     # Case 1: top middle coefficient positive -> r*Q x [0,1].  The product
     # coefficients are r^j c_j + r^{j-1} c_{j-1}, so any r beyond the largest
@@ -419,51 +436,38 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         sub = _construct(pattern[1:], max_b)
         c = sub.ehrhart.poly
         r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
-        expr = sub.expr.dilated(r) * PolytopeExpr(((1, Interval(1)),))
-        return _certify(expr, pattern, f"case1[r={r}]", sub)
+        return _extend(sub, r, Interval(1), pattern, f"case1[r={r}]")
 
     # Case 2: bottom middle coefficient positive -> Q x [0,m]; coefficients
-    # are m*c_{j-1} + c_j, linear in m, so solve for the smallest m directly.
+    # are linear in m, so solve for the smallest m directly.
     if pattern[-1] == 1:
         sub = _construct(pattern[:-1], max_b)
-        c = sub.ehrhart.poly
-        m = _solve_linear(c.shift(1), c, pattern, d)
-        if m is None:
-            raise SearchExhausted("case2", pattern)
-        expr = sub.expr * PolytopeExpr(((1, Interval(m)),))
-        return _certify(expr, pattern, f"case2[m={m}]", sub)
+        m = _solve_size(sub.ehrhart.poly, Interval, pattern, d, "case2")
+        return _extend(sub, 1, Interval(m), pattern, f"case2[m={m}]")
 
     # Case 3: top two and bottom negative -> r*Q x ReeveT(m), Q realizing the
-    # negated inner pattern.  i(ReeveT(m),t) = m*(t^3-t)/6 + (t^2+2t+1): with
-    # u_j = r^j c_j the m-coefficient is (u_{j-3} - u_{j-1})/6, dominated by
-    # -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
+    # negated inner pattern.  The m-slope of i(ReeveT(m), t) is (t^3 - t)/6:
+    # with u_j = r^j c_j the m-coefficient is (u_{j-3} - u_{j-1})/6, dominated
+    # by -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
     if pattern[0] == -1 and pattern[1] == -1 and pattern[-1] == -1:
         sub = _construct(tuple(-s for s in pattern[2:-1]), max_b)
         c = sub.ehrhart.poly
         r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
-        qr = c.compose_scale(r)
-        reeve_m = Poly((0, -Fraction(1, 6), 0, Fraction(1, 6)))
-        m = _solve_linear(qr * reeve_m, qr * Poly((1, 2, 1)), pattern, d)
-        if m is None:
-            raise SearchExhausted("case3", pattern)
-        expr = sub.expr.dilated(r) * PolytopeExpr(((1, ReeveT(m)),))
-        return _certify(expr, pattern, f"case3[r={r},m={m}]", sub)
+        m = _solve_size(c.compose_scale(r), ReeveT, pattern, d, "case3")
+        return _extend(sub, r, ReeveT(m), pattern, f"case3[r={r},m={m}]")
 
-    # Case 4: tail (-,+,-) -> r*Q x Quad(a).  i(Quad(a),t) = a*t^2 + 2t + 1;
-    # the t-coefficient of the product is 2 + r*c_1 (a-independent), so r must
-    # make it negative (c_1 < 0 by the guard); the rest is linear in a.
+    # Case 4: tail (-,+,-) -> r*Q x Quad(a).  The t-coefficient of the product
+    # is q_1 + r*c_1, where q_1, the t-coefficient of i(Quad(a), t), does not
+    # depend on a; r must make it negative (c_1 < 0 by the guard); the rest is
+    # linear in a.
     if pattern[-1] == -1 and pattern[-2] == 1 and pattern[-3] == -1:
         sub = _construct(pattern[:-2], max_b)
         c = sub.ehrhart.poly
         if not c[1] < 0:
             raise SearchExhausted("case4", pattern)
-        r = 1 + _floor_ratio(2, c[1])
-        qr = c.compose_scale(r)
-        a = _solve_linear(qr.shift(2), qr * Poly((1, 2)), pattern, d)
-        if a is None:
-            raise SearchExhausted("case4", pattern)
-        expr = sub.expr.dilated(r) * PolytopeExpr(((1, Quad(a)),))
-        return _certify(expr, pattern, f"case4[r={r},a={a}]", sub)
+        r = 1 + _floor_ratio(block_ehrhart(Quad(1)).poly[1], c[1])
+        a = _solve_size(c.compose_scale(r), Quad, pattern, d, "case4")
+        return _extend(sub, r, Quad(a), pattern, f"case4[r={r},a={a}]")
 
     # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
     # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
@@ -483,9 +487,10 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
                     raise SearchExhausted(case, pattern)
                 step = f"{case}[d1={d1},d2={d2},r={r}]"
                 dilated = top.expr.dilated(r)
+                poly = top.ehrhart.poly.compose_scale(r) * low.ehrhart.poly
                 if case == "case5.1":
-                    return _certify(dilated * low.expr, pattern, step, top, low)
-                return _certify(low.expr * dilated, pattern, step, low, top)
+                    return _certify(dilated * low.expr, poly, pattern, step, top, low)
+                return _certify(low.expr * dilated, poly, pattern, step, low, top)
         raise SearchExhausted("case5", pattern)
 
     # Case 6: the residual shape always decomposes

@@ -53,6 +53,23 @@ def test_usage_errors(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eulerian", "--d", "0"),
+        ("sdm", "--d", "0", "--m", "1"),
+        ("sdm", "--d", "2", "--m", "0"),
+        ("family", "--q", "1,-2", "--n", "2", "--m", "0"),
+        ("eulerian", "--d", "12", "--method", "descent"),
+    ],
+)
+def test_domain_errors_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err and out == ""
+
+
 def test_fast_precondition_exit_code(capsys):
     code, _, err = run(capsys, "hstar", "--q", "900,900", "--n", "5", "--method", "fast")
     assert code == 65

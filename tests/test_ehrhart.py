@@ -186,9 +186,13 @@ def test_block_json_round_trip():
         Delta(DeltaQ((1, -2), 9)),
     ]
     for b in blocks:
+        assert block_to_json(b)["kind"] == type(b).kind
         assert block_from_json(block_to_json(b)) == b
     with pytest.raises(ValueError):
         block_from_json({"kind": "mystery"})
+    with pytest.raises(KeyError):
+        block_from_json({"kind": "quad"})
+    assert block_from_json({"kind": "quad", "a": 7, "extra": 1}) == Quad(7)
 
 
 def test_expr_json_round_trip():

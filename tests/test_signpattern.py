@@ -174,7 +174,7 @@ def fresh_memo():
     signpattern._construct.cache_clear()
 
 
-def test_construct_expands_once_per_step(fresh_memo, monkeypatch):
+def test_construct_expands_only_the_catalog_lookup(fresh_memo, monkeypatch):
     calls = []
     expand = signpattern.expr_ehrhart
 
@@ -185,7 +185,14 @@ def test_construct_expands_once_per_step(fresh_memo, monkeypatch):
     monkeypatch.setattr(signpattern, "expr_ehrhart", counting)
     res = construct((1,) * 6)
     assert [t.partition("[")[0] for t in res.trace] == ["case1"] * 4 + ["catalog-d4"]
-    assert len(calls) == 5  # four Case-1 peels and the catalog lookup
+    assert len(calls) == 1  # the Case-1 peels multiply closed forms
+
+
+def test_construct_polynomial_matches_full_expansion():
+    for length in range(1, 9):
+        for pattern in all_patterns(length):
+            res = construct(pattern)
+            assert res.ehrhart == expr_ehrhart(res.expr), pattern
 
 
 def test_construct_case5_orientations(fresh_memo):
