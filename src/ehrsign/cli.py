@@ -214,7 +214,9 @@ def cmd_sign_construct(pattern_text, max_base, as_json):
 @cli.command("verify")
 @click.option("--q", "q", required=True)
 @click.option("--n", "n", required=True, type=int)
-@click.option("--tmax", type=int, default=None, help="defaults to d+2")
+@click.option(
+    "--tmax", type=click.IntRange(min=0), default=None, help="defaults to d+2"
+)
 def cmd_verify(q, n, tmax):
     """Compare oracle lattice counts against the closed-form Ehrhart polynomial."""
     s = _delta(q, n)
@@ -292,6 +294,12 @@ def cmd_bench(sum_q, n, trials, seed, as_csv):
 
 
 def main(argv=None) -> int:
+    # Witnesses run to many thousands of digits: lift the int-to-str limit
+    # for the integers this CLI computed itself, and restore it on the way out.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK
@@ -309,6 +317,9 @@ def main(argv=None) -> int:
     except click.ClickException as e:
         e.show()
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ Two computation paths are provided: the direct O(n*d) summation and a
 breakpoint/plateau reconstruction that needs only O(sum |q_i|) operations
 (valid when n >= |q_i| for every i, q_d included).  The module also computes
 the characteristic polynomials L1, L2 of the parametric family where n is
-scaled by m (requires q_i | n), and the closed-form special families used as
-golden vectors.
+scaled by m (requires q_i | n): h* of the member is m*x*L1(x) + L2(x), so
+x*L1 is read off the m = 2 and m = 1 members, with the A(j) sum as the naive
+reference.  Last come the closed-form special families used as golden
+vectors.
 """
 
 from __future__ import annotations
@@ -170,25 +172,6 @@ def fast_precondition_ok(s: DeltaQ) -> bool:
     return s.n >= max(abs(q) for q in s.q_full)
 
 
-def _plateau_reconstruct(net: dict[int, int], n: int, dim: int, base: int) -> Poly:
-    """Given net jump coefficients at sorted positions in [1, n-1] and the
-    height at j=0, aggregate plateau lengths into coefficient counts."""
-    counts = [0] * (dim + 1)
-    height = base
-    prev = 0
-    for pos in sorted(net):
-        if pos > prev:
-            if not 0 <= height <= dim:
-                raise AssertionError("internal error: plateau height outside [0, d]")
-            counts[height] += pos - prev
-            prev = pos
-        height += net[pos]
-    if not 0 <= height <= dim:
-        raise AssertionError("internal error: plateau height outside [0, d]")
-    counts[height] += n - prev
-    return Poly(counts)
-
-
 def hstar_fast(s: DeltaQ) -> HStar:
     """Breakpoint/plateau computation; O(sum |q_i|) operations, independent
     of n.  Requires n >= |q_i| for every i including the derived q_d."""
@@ -197,7 +180,24 @@ def hstar_fast(s: DeltaQ) -> HStar:
             "hstar_fast requires n >= max|q_i| (q_d included); "
             "fall back to hstar_naive"
         )
-    return HStar(_plateau_reconstruct(_net_jumps(s), s.n, s.d, 0), s.d)
+    n, d = s.n, s.d
+    net = _net_jumps(s)
+    # the height sum_i ceil(q_i*j/n) is 0 at j = 0 and changes only at the
+    # sorted breakpoints; each plateau adds its length to x^height
+    counts = [0] * (d + 1)
+    height = 0
+    prev = 0
+    for pos in sorted(net):
+        if pos > prev:
+            if not 0 <= height <= d:
+                raise AssertionError("internal error: plateau height outside [0, d]")
+            counts[height] += pos - prev
+            prev = pos
+        height += net[pos]
+    if not 0 <= height <= d:
+        raise AssertionError("internal error: plateau height outside [0, d]")
+    counts[height] += n - prev
+    return HStar(Poly(counts), d)
 
 
 Method = Literal["auto", "fast", "naive"]
@@ -236,38 +236,19 @@ def _l_poly_naive(s: DeltaQ) -> Poly:
     return Poly(counts)
 
 
-def _l_poly_fast(s: DeltaQ) -> Poly:
-    """Plateau reconstruction of L(x) under divisibility: with a_i = n/q_i
-    integral, A(j) = p + sum_{q_i>0} floor(j/a_i) - sum_{q_i<0} floor(j/|a_i|)
-    where p = #{i: q_i > 0}; jumps sit at multiples of |a_i|."""
-    n = s.n
-    net: dict[int, int] = {}
-    p = 0
-    for q in s.q_full:
-        a = abs(n // q)
-        if q > 0:
-            p += 1
-            sign = 1
-        else:
-            sign = -1
-        for m in range(1, abs(q)):
-            pos = m * a
-            net[pos] = net.get(pos, 0) + sign
-    return _plateau_reconstruct(net, n, s.d, p)
-
-
 def l1_l2(s: DeltaQ, method: Method = "auto") -> tuple[Poly, Poly]:
     """Characteristic polynomials: h* of the family member with n -> m*n
-    equals m*x*L1(x) + L2(x).  Requires q_i | n for all i (q_i != 0)."""
+    equals m*x*L1(x) + L2(x).  Requires q_i | n for all i (q_i != 0).
+
+    Being affine in m, L = x*L1 is h* of the m = 2 member minus h* of the
+    m = 1 member; method="naive" takes L from the A(j) sum instead."""
     _check_divisibility(s)
+    h = hstar(s).poly
     if method == "naive":
         l = _l_poly_naive(s)
     else:
-        l = _l_poly_fast(s)
-    l1 = Poly(l.coeffs[1:])
-    h = hstar(s).poly
-    l2 = h - l
-    return l1, l2
+        l = hstar(DeltaQ(s.q_head, 2 * s.n)).poly - h
+    return Poly(l.coeffs[1:]), h - l
 
 
 def hstar_family(s: DeltaQ, m: int) -> HStar:

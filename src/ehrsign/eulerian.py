@@ -101,13 +101,15 @@ def descent_formula(n: int, d: int) -> int:
     return n - sum(n // (math.factorial(i) * (i + 2)) for i in range(d - 1))
 
 
-def eulerian_descent(d: int, limit: int = DESCENT_SUM_DEFAULT_LIMIT) -> Poly:
+def eulerian_descent(d: int) -> Poly:
     """A_d(x) as sum over ranks j of x^{1 + des}; a verification path, not
     the production one (d! summands)."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    if d > limit:
-        raise ValueError(f"d={d} exceeds the descent-sum limit {limit}")
+    if d > DESCENT_SUM_DEFAULT_LIMIT:
+        raise ValueError(
+            f"d={d} exceeds the descent-sum limit {DESCENT_SUM_DEFAULT_LIMIT}"
+        )
     fact = math.factorial(d)
     divisors = [math.factorial(i) * (i + 2) for i in range(d - 1)]
     if fact > 10_000:

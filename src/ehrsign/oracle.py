@@ -42,9 +42,7 @@ class DilationCount:
             raise ValueError("count >= interior_count >= 0 violated")
 
 
-def count_points(
-    s: DeltaQ, t: int, max_points: int | None = None, max_dim: int = DEFAULT_MAX_DIM
-) -> DilationCount:
+def count_points(s: DeltaQ, t: int) -> DilationCount:
     """Exact |t*Delta(0,q) cap Z^d| and its interior count.
 
     x lies in t*Delta(0,q) iff lam_d := x_d/n >= 0, lam_i := x_i - q_i x_d/n
@@ -53,14 +51,16 @@ def count_points(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    limit = max_points if max_points is not None else _max_points()
+    limit = _max_points()
     if s.n * t > limit:
         raise OracleGuardError(
             f"n*t = {s.n * t} exceeds the oracle guard {limit} "
             "(set EHRHART_MAX_ORACLE_POINTS to override)"
         )
-    if s.d > max_dim:
-        raise OracleGuardError(f"d = {s.d} exceeds the oracle dimension guard {max_dim}")
+    if s.d > DEFAULT_MAX_DIM:
+        raise OracleGuardError(
+            f"d = {s.d} exceeds the oracle dimension guard {DEFAULT_MAX_DIM}"
+        )
     if t == 0:
         return DilationCount(0, 1, 0)
 
@@ -90,19 +90,19 @@ def count_points(
     return DilationCount(t, total, interior)
 
 
-def interpolate_ehrhart(s: DeltaQ, **guard_kwargs) -> Poly:
+def interpolate_ehrhart(s: DeltaQ) -> Poly:
     """Lagrange interpolation of the counting function through t = 0..d."""
     return interpolate_through(
-        [(t, count_points(s, t, **guard_kwargs).count) for t in range(s.d + 1)]
+        [(t, count_points(s, t).count) for t in range(s.d + 1)]
     )
 
 
-def hstar_via_counts(s: DeltaQ, **guard_kwargs) -> HStar:
+def hstar_via_counts(s: DeltaQ) -> HStar:
     """Recover h* from counts at t = 0..d by inverting
     i(t) = sum_i h_i * C(t + d - i, d) (a triangular system), then check the
     lattice-point identities h_1 = count(1) - (d+1), h_d = interior(1)."""
     d = s.d
-    counts = [count_points(s, t, **guard_kwargs) for t in range(d + 1)]
+    counts = [count_points(s, t) for t in range(d + 1)]
     h = [0] * (d + 1)
     for t in range(d + 1):
         acc = counts[t].count

@@ -3,12 +3,14 @@ the exit-code contract (0 ok, 1 mismatch, 2 exhausted, 64 usage, 65
 precondition)."""
 
 import json
+import sys
 
 import pytest
 
 from ehrsign import cli
 from ehrsign.oracle import DilationCount
 from ehrsign.polynomials import poly_from_json
+from ehrsign.signpattern import construct, parse_pattern
 
 
 def run(capsys, *argv):
@@ -61,6 +63,7 @@ def test_usage_errors(capsys):
         ("sdm", "--d", "2", "--m", "0"),
         ("family", "--q", "1,-2", "--n", "2", "--m", "0"),
         ("eulerian", "--d", "12", "--method", "descent"),
+        ("verify", "--q", "1,1", "--n", "13", "--tmax", "-3"),
     ],
 )
 def test_domain_errors_are_usage_errors(capsys, argv):
@@ -153,6 +156,23 @@ def test_sign_construct_json(capsys):
     from ehrsign.ehrhart import expr_ehrhart, expr_from_json
 
     assert expr_ehrhart(expr_from_json(obj["expr"])).poly == poly_from_json(obj["ehrhart"])
+
+
+def test_sign_construct_prints_big_witness(capsys):
+    pattern = "+-+-+++++++"
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "sign-construct", "--json", "--pattern", pattern)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    ehrhart = json.loads(out)["ehrhart"]
+    assert max(len(c) for c in ehrhart["coeffs"]) > limit  # past the default limit
+    sys.set_int_max_str_digits(0)
+    try:
+        coeffs = poly_from_json(ehrhart).coeffs
+        expected = construct(parse_pattern(pattern)).ehrhart.poly.coeffs
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert coeffs == expected
 
 
 def test_sign_construct_bad_pattern(capsys):

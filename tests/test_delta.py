@@ -231,6 +231,7 @@ def test_l1_l2_properties_random():
     for _ in range(60):
         s = _random_divisible_instance(rng)
         l1, l2 = l1_l2(s)
+        assert l1_l2(s, method="naive") == (l1, l2)
         # palindromic over degrees 0..d-1
         assert all(l1[i] == l1[s.d - 1 - i] for i in range(s.d))
         assert l1.eval(1) == s.n

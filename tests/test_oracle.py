@@ -59,8 +59,6 @@ def test_guards():
         count_points(DeltaQ((1,) * 5, 2), 1)  # d = 6 > max_dim
     with pytest.raises(ValueError):
         count_points(s, -1)
-    # explicit override beats the default budget
-    assert count_points(s, 1, max_points=100).count == 4
 
 
 def test_guard_env_override(monkeypatch):
@@ -111,6 +109,20 @@ def test_hstar_via_counts_matches_naive():
         head = tuple(rng.randint(-5, 5) for _ in range(d - 1))
         s = DeltaQ(head, rng.randint(1, 12))
         assert hstar_via_counts(s) == hstar_naive(s), s
+
+
+def test_hstar_via_counts_matches_bigint_naive():
+    # |q_i|(n-1) >= 2^62 sends hstar_naive down its big-int path; n*d stays
+    # within the oracle's default guard
+    rng = random.Random(13)
+    for _ in range(12):
+        d = rng.randint(2, 4)
+        head = tuple(
+            rng.choice((1, -1)) * rng.randint(10**17, 10**18) for _ in range(d - 1)
+        )
+        s = DeltaQ(head, rng.randint(64, 10_000 // d))
+        assert max(abs(q) for q in s.q_full) * (s.n - 1) >= 2**62, s
+        assert hstar_naive(s) == hstar_via_counts(s), s
 
 
 def test_hstar_via_counts_examples():
