@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .polynomials import Poly
 
 # numpy path is used only when every intermediate |q_i * j| provably fits
-# in int64; otherwise we fall back to Python big ints.
+# in int64; otherwise we fall back to Python big ints.  numpy is imported
+# on that path only, so importing the package does not load it.
 _INT64_SAFE = 2**62
 _NUMPY_MIN_N = 512
 
@@ -108,6 +107,8 @@ def hstar_naive(s: DeltaQ) -> HStar:
     """Direct evaluation of the defining sum (O(n*d) operations)."""
     n, d = s.n, s.d
     if _exponents_numpy_ok(s):
+        import numpy as np
+
         j = np.arange(n, dtype=np.int64)
         e = np.zeros(n, dtype=np.int64)
         for q in s.q_full:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .delta import DeltaQ, HStar
 from .polynomials import Poly
 
@@ -113,6 +111,8 @@ def eulerian_descent(d: int) -> Poly:
     fact = math.factorial(d)
     divisors = [math.factorial(i) * (i + 2) for i in range(d - 1)]
     if fact > 10_000:
+        import numpy as np  # imported here so that importing ehrsign skips it
+
         j = np.arange(fact, dtype=np.int64)
         e = j + 1
         for div in divisors:

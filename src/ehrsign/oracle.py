@@ -28,7 +28,17 @@ DEFAULT_MAX_DIM = 4
 
 def _max_points() -> int:
     env = os.environ.get("EHRHART_MAX_ORACLE_POINTS")
-    return int(env) if env else DEFAULT_MAX_POINTS
+    if not env:
+        return DEFAULT_MAX_POINTS
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise OracleGuardError(
+            f"EHRHART_MAX_ORACLE_POINTS={env!r} is not a non-negative integer"
+        )
+    return limit
 
 
 @dataclass(frozen=True)

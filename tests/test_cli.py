@@ -3,10 +3,14 @@ the exit-code contract (0 ok, 1 mismatch, 2 exhausted, 64 usage, 65
 precondition)."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ehrsign
 from ehrsign import cli
 from ehrsign.oracle import DilationCount
 from ehrsign.polynomials import poly_from_json
@@ -70,6 +74,15 @@ def test_domain_errors_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64
     assert err.startswith("usage error:")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_oracle_guard_env_is_precondition_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", value)
+    code, out, err = run(capsys, "verify", "--q", "1,1", "--n", "13")
+    assert code == 65
+    assert "EHRHART_MAX_ORACLE_POINTS" in err and "non-negative integer" in err
     assert "Traceback" not in err and out == ""
 
 
@@ -245,3 +258,40 @@ def test_bench_csv(capsys):
 
 def test_bench_rejects_bad_args(capsys):
     assert run(capsys, "bench", "--trials", "-1")[0] == 64
+
+
+# Run in a fresh interpreter: other tests in this process have imported numpy.
+NUMPY_STAYS_UNLOADED = """
+import sys
+import ehrsign
+from ehrsign import cli
+for argv in (
+    ["sign-construct", "--json", "--pattern", "+-+-"],
+    ["hstar", "--q", "1,-2", "--n", "9"],
+    ["family", "--q", "-3,-2", "--n", "6", "--m", "2"],
+    ["eulerian", "--d", "7", "--method", "descent"],
+):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+from ehrsign.delta import DeltaQ, hstar_naive
+from ehrsign.eulerian import eulerian_descent
+{summation}
+assert "numpy" in sys.modules
+"""
+
+
+@pytest.mark.parametrize(
+    "summation", ["hstar_naive(DeltaQ((3, -2, 5), 1024))", "eulerian_descent(8)"]
+)
+def test_numpy_is_loaded_only_by_the_guarded_summations(summation):
+    # the child imports the same ehrsign tree as this process
+    src = str(Path(ehrsign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_STAYS_UNLOADED.format(summation=summation)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -70,6 +70,14 @@ def test_guard_env_override(monkeypatch):
     assert count_points(s, 1).count == 4
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_guard_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", value)
+    match = "EHRHART_MAX_ORACLE_POINTS=.* non-negative integer"
+    with pytest.raises(OracleGuardError, match=match):
+        count_points(DeltaQ((1, 1), 13), 1)
+
+
 def test_interpolate_reeve():
     # m=2 Reeve tetrahedron: (2/6)t^3 + t^2 + (10/6)t + 1
     p = interpolate_ehrhart(DeltaQ((1, 1), 2))
