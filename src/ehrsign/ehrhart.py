@@ -7,33 +7,65 @@ descending-degree order, where i(P,t) = 1 + sum c_i t^i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union, get_args
 
 from .delta import DeltaQ, HStar, hstar
 from .eulerian import sdm_ehrhart
-from .polynomials import Poly, binom_poly
+from .polynomials import Poly, falling_poly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EhrhartPoly:
     """A degree-dim polynomial with constant term 1 and positive leading and
-    second-highest coefficients (volume and half boundary volume)."""
+    second-highest coefficients (volume and half boundary volume).
 
-    poly: Poly
+    Stored as an integer-coefficient numerator `num` over one positive
+    denominator `den` with gcd(den, *num) == 1, so `den` is the lcm of the
+    coefficient denominators and equality is structural.  `poly`, the public
+    Fraction form, is built when it is read.
+    """
+
+    num: Poly
+    den: int
     dim: int
 
-    def __post_init__(self):
-        p = self.poly
-        if p[0] != 1:
+    def __init__(self, poly: Poly, dim: int):
+        den = math.lcm(*(c.denominator for c in poly.coeffs))
+        self._store(
+            Poly(c.numerator * (den // c.denominator) for c in poly.coeffs), den, dim
+        )
+
+    @classmethod
+    def from_num(cls, num: Poly, den: int, dim: int) -> "EhrhartPoly":
+        """num/den for an integer polynomial num and den > 0, in lowest terms."""
+        g = math.gcd(den, *num.coeffs)
+        if g > 1:
+            num, den = Poly(c // g for c in num.coeffs), den // g
+        out = cls.__new__(cls)
+        out._store(num, den, dim)
+        return out
+
+    def _store(self, num: Poly, den: int, dim: int) -> None:
+        if num[0] != den:
             raise ValueError("Ehrhart polynomial must have constant term 1")
-        if p.degree != self.dim:
-            raise ValueError(f"degree {p.degree} != dimension {self.dim}")
-        if p[self.dim] <= 0:
+        if num.degree != dim:
+            raise ValueError(f"degree {num.degree} != dimension {dim}")
+        if num[dim] <= 0:
             raise ValueError("leading coefficient (volume) must be positive")
-        if self.dim >= 1 and p[self.dim - 1] <= 0:
+        if dim >= 1 and num[dim - 1] <= 0:
             raise ValueError("second coefficient (half boundary volume) must be positive")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "dim", dim)
+
+    @property
+    def poly(self) -> Poly:
+        if self.den == 1:
+            return self.num
+        return Poly(Fraction(c, self.den) for c in self.num.coeffs)
 
     def eval(self, t):
         return self.poly.eval(t)
@@ -166,29 +198,27 @@ class PolytopeExpr:
 
 
 def from_hstar(h: HStar, d: int) -> EhrhartPoly:
-    """i(P,t) = sum_i h_i * C(t + d - i, d)."""
+    """i(P,t) = sum_i h_i * C(t + d - i, d), summed over the common d!."""
     if h.poly.degree > d:
         raise ValueError("h* degree exceeds the requested dimension")
     out = Poly.zero()
     for i, c in enumerate(h.poly.coeffs):
         if c:
-            out = out + binom_poly(d - i, d).scale(c)
-    return EhrhartPoly(out, d)
+            out = out + falling_poly(d - i, d).scale(c)
+    return EhrhartPoly.from_num(out, math.factorial(d), d)
 
 
 def block_ehrhart(b: Block) -> EhrhartPoly:
     if isinstance(b, Interval):
-        return EhrhartPoly(Poly((1, b.m)), 1)
+        return EhrhartPoly.from_num(Poly((1, b.m)), 1, 1)
     if isinstance(b, ReeveT):
-        return EhrhartPoly(
-            Poly((1, Fraction(12 - b.m, 6), 1, Fraction(b.m, 6))), 3
-        )
+        return EhrhartPoly.from_num(Poly((6, 12 - b.m, 6, b.m)), 6, 3)
     if isinstance(b, EulerianS):
-        return EhrhartPoly(sdm_ehrhart(b.d, b.m), b.d)
+        return EhrhartPoly.from_num(sdm_ehrhart(b.d, b.m), 1, b.d)
     if isinstance(b, Quad):
-        return EhrhartPoly(Poly((1, 2, b.a)), 2)
+        return EhrhartPoly.from_num(Poly((1, 2, b.a)), 1, 2)
     if isinstance(b, StdSimplex):
-        return EhrhartPoly(binom_poly(b.d, b.d), b.d)
+        return EhrhartPoly.from_num(falling_poly(b.d, b.d), math.factorial(b.d), b.d)
     if isinstance(b, Delta):
         return from_hstar(hstar(b.delta), b.delta.d)
     raise TypeError(f"unknown block {b!r}")
@@ -196,12 +226,12 @@ def block_ehrhart(b: Block) -> EhrhartPoly:
 
 def ehr_product(a: EhrhartPoly, b: EhrhartPoly) -> EhrhartPoly:
     """i(P x Q, t) = i(P,t) * i(Q,t)."""
-    return EhrhartPoly(a.poly * b.poly, a.dim + b.dim)
+    return EhrhartPoly.from_num(a.num * b.num, a.den * b.den, a.dim + b.dim)
 
 
 def ehr_dilate(a: EhrhartPoly, r: int) -> EhrhartPoly:
     """i(rP, t) = i(P, rt)."""
-    return EhrhartPoly(a.poly.compose_scale(r), a.dim)
+    return EhrhartPoly.from_num(a.num.compose_scale(r), a.den, a.dim)
 
 
 def expr_ehrhart(e: PolytopeExpr) -> EhrhartPoly:
@@ -224,7 +254,8 @@ def sign_vector(a: EhrhartPoly) -> tuple[int, ...]:
     """(sgn(c_{d-2}), ..., sgn(c_1)); defined only for dim >= 3."""
     if a.dim < 3:
         raise ValueError("sign vector needs dim >= 3 (no middle coefficients)")
-    return tuple(_sgn(a.poly[i]) for i in range(a.dim - 2, 0, -1))
+    num = a.num  # den > 0, so the numerators carry the signs
+    return tuple(_sgn(num[i]) for i in range(a.dim - 2, 0, -1))
 
 
 # --- JSON wire format --------------------------------------------------------

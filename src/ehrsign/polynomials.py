@@ -3,6 +3,10 @@
 Coefficients are Python ints or fractions.Fraction (auto-reduced, positive
 denominator), so equality is structural.  Everything here is immutable and
 pure; degrees stay small (at most a few dozen) so dense storage is fine.
+Ehrhart polynomials keep integer-coefficient numerators over one
+denominator (`ehrhart.EhrhartPoly`), so their arithmetic here is on ints;
+Fraction coefficients appear only in their public `.poly` view and in
+rational inputs such as `binom_poly`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ Coeff = Union[int, Fraction]
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
+    if type(c) is int:  # the common case; skips the ABC isinstance check
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -141,18 +147,24 @@ class Poly:
         return poly_to_text(self)
 
 
+def falling_poly(shift: int, d: int) -> Poly:
+    """Expand (t+shift)(t+shift-1)...(t+shift-d+1) = d! * binom(t+shift, d),
+    an integer polynomial in t of degree d."""
+    if d < 0:
+        raise ValueError("invalid dimension: d must be >= 0")
+    p = Poly.one()
+    for i in range(d):
+        p = p * Poly((shift - i, 1))
+    return p
+
+
 def binom_poly(shift: int, d: int) -> Poly:
     """Expand binom(t+shift, d) as a polynomial in t.
 
     Equals (t+shift)(t+shift-1)...(t+shift-d+1)/d!; degree d, leading
     coefficient 1/d!.
     """
-    if d < 0:
-        raise ValueError("invalid dimension: d must be >= 0")
-    p = Poly.one()
-    for i in range(d):
-        p = p * Poly((shift - i, 1))
-    return p.scale(Fraction(1, math.factorial(d)))
+    return falling_poly(shift, d).scale(Fraction(1, math.factorial(d)))
 
 
 def poly_to_text(p: Poly, var: str = "x") -> str:

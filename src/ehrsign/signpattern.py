@@ -8,9 +8,11 @@ remaining shapes reduce recursively (products with intervals, the Reeve
 tetrahedron, or a sheared quadrilateral).  Each recursive step computes a
 proven bound for its parameter and certifies the witness by the exact sign
 vector of the product of its sub-witness's Ehrhart polynomial (dilated) and
-the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).  Only the
-hard shape searches: over the base b up to max_b, halving epsilon once as
-its fallback.
+the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).  Those
+polynomials are integer numerators over one denominator (EhrhartPoly), so
+every threshold and sign check is integer arithmetic: two coefficients of
+one polynomial share its denominator.  Only the hard shape searches: over
+the base b up to max_b, halving epsilon once as its fallback.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .ehrhart import (
     Quad,
     ReeveT,
     block_ehrhart,
+    ehr_dilate,
+    ehr_product,
     expr_ehrhart,
     expr_from_json,
     expr_to_json,
@@ -340,27 +344,27 @@ def _catalog() -> dict:
     return _load_catalog()
 
 
-def _floor_ratio(num, den) -> int:
-    """floor(|num| / |den|) exactly, for int or Fraction inputs."""
-    f = abs(Fraction(num)) / abs(Fraction(den))
-    return f.numerator // f.denominator
+def _floor_ratio(num: int, den: int) -> int:
+    """floor(|num| / |den|).  Two coefficients of one Ehrhart polynomial share
+    its denominator, so their ratio is the ratio of their integer numerators."""
+    return abs(num) // abs(den)
 
 
 def _product_threshold(p1, d1: int, p2, pattern: Pattern, d: int) -> int | None:
-    """Sufficient r for r*Q1 x Q2: coefficient j of the product is
+    """Sufficient r for r*Q1 x Q2, from the integer numerators p1, p2 of
+    their Ehrhart polynomials: coefficient j of the product is
     sum_k r^k a_k b_{j-k}, dominated by k* = min(j, d1) once r clears the
-    ratio of the residual mass to the dominant term.  None when a dominant
-    term's sign contradicts the pattern (this split cannot work)."""
+    ratio of the residual mass to the dominant term (both over the same
+    den1 * den2).  None when a dominant term's sign contradicts the pattern
+    (this split cannot work)."""
     r0 = 2
     for idx, s in enumerate(pattern):
         j = d - 2 - idx
         k_star = min(j, d1)
-        dom = Fraction(p1[k_star]) * Fraction(p2[j - k_star])
+        dom = p1[k_star] * p2[j - k_star]
         if dom == 0 or _sgn(dom) != s:
             return None
-        rest = sum(
-            abs(Fraction(p1[k]) * Fraction(p2[j - k])) for k in range(k_star)
-        )
+        rest = sum(abs(p1[k] * p2[j - k]) for k in range(k_star))
         if rest:
             r0 = max(r0, _floor_ratio(rest, dom) + 1)
     return r0
@@ -373,15 +377,18 @@ def construct(pattern, max_b: int = DEFAULT_MAX_BASE) -> ConstructResult:
 
 
 def _certify(
-    expr: PolytopeExpr, poly: Poly, pattern: Pattern, step: str, *subs: ConstructResult
+    expr: PolytopeExpr,
+    ehr: EhrhartPoly,
+    pattern: Pattern,
+    step: str,
+    *subs: ConstructResult,
 ) -> ConstructResult:
-    """Certify a step by the exact sign vector of poly, the Ehrhart
+    """Certify a step by the exact sign vector of ehr, the Ehrhart
     polynomial of expr as the step built it: the product of its sub-witness's
     polynomial (dilated) and the new block's closed form, or for a catalog
     entry its expansion.  Return the witness with the step's trace followed
     by the sub-witnesses' traces, or raise SearchExhausted carrying the sign
     vector when it does not realize the pattern."""
-    ehr = EhrhartPoly(poly, expr.dim)
     sv = sign_vector(ehr)
     if sv != pattern:
         raise SearchExhausted(step.partition("[")[0], pattern, sv)
@@ -390,21 +397,29 @@ def _certify(
 
 
 def _extend(
-    sub: ConstructResult, r: int, block: Block, pattern: Pattern, step: str
+    sub: ConstructResult,
+    r: int,
+    qr: EhrhartPoly,
+    block: Block,
+    pattern: Pattern,
+    step: str,
 ) -> ConstructResult:
-    """Certify r*sub x block from i(r*sub, t) * i(block, t)."""
+    """Certify r*sub x block from qr = i(r*sub, t) times i(block, t)."""
     expr = sub.expr.dilated(r) * PolytopeExpr(((1, block),))
-    poly = sub.ehrhart.poly.compose_scale(r) * block_ehrhart(block).poly
-    return _certify(expr, poly, pattern, step, sub)
+    return _certify(expr, ehr_product(qr, block_ehrhart(block)), pattern, step, sub)
 
 
 def _solve_size(qr: Poly, make_block, pattern: Pattern, d: int, case: str) -> int:
     """Smallest size m >= 1 for which qr * i(make_block(m), t) realizes the
-    pattern.  A block's polynomial is affine in m, with slope P(2) - P(1) and
-    intercept 2P(1) - P(2) for P(m) its closed form, so the middle
-    coefficients are A_j*m + B_j.  SearchExhausted when an A_j sign (a B_j
-    sign where A_j = 0) points the wrong way."""
-    p1, p2 = (block_ehrhart(make_block(m)).poly for m in (1, 2))
+    pattern, qr the integer numerator of the dilated sub-witness.  A block's
+    polynomial is affine in m, with slope P(2) - P(1) and intercept
+    2P(1) - P(2) for P(m) its closed form; scaled by the lcm of the two
+    members' denominators, the middle coefficients are A_j*m + B_j over one
+    positive denominator, A_j and B_j integers.  SearchExhausted when an A_j
+    sign (a B_j sign where A_j = 0) points the wrong way."""
+    e1, e2 = (block_ehrhart(make_block(m)) for m in (1, 2))
+    den = math.lcm(e1.den, e2.den)
+    p1, p2 = e1.num.scale(den // e1.den), e2.num.scale(den // e2.den)
     A, B = qr * (p2 - p1), qr * (p1.scale(2) - p2)
     need = 1
     for idx, s in enumerate(pattern):
@@ -427,23 +442,24 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
 
     if d in (3, 4):
         expr = _catalog()[format_pattern(pattern)]
-        return _certify(expr, expr_ehrhart(expr).poly, pattern, f"catalog-d{d}")
+        return _certify(expr, expr_ehrhart(expr), pattern, f"catalog-d{d}")
 
     # Case 1: top middle coefficient positive -> r*Q x [0,1].  The product
     # coefficients are r^j c_j + r^{j-1} c_{j-1}, so any r beyond the largest
     # |c_{j-1}/c_j| ratio keeps every middle sign equal to sgn(c_j).
     if pattern[0] == 1:
         sub = _construct(pattern[1:], max_b)
-        c = sub.ehrhart.poly
+        c = sub.ehrhart.num
         r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
-        return _extend(sub, r, Interval(1), pattern, f"case1[r={r}]")
+        qr = ehr_dilate(sub.ehrhart, r)
+        return _extend(sub, r, qr, Interval(1), pattern, f"case1[r={r}]")
 
     # Case 2: bottom middle coefficient positive -> Q x [0,m]; coefficients
     # are linear in m, so solve for the smallest m directly.
     if pattern[-1] == 1:
         sub = _construct(pattern[:-1], max_b)
-        m = _solve_size(sub.ehrhart.poly, Interval, pattern, d, "case2")
-        return _extend(sub, 1, Interval(m), pattern, f"case2[m={m}]")
+        m = _solve_size(sub.ehrhart.num, Interval, pattern, d, "case2")
+        return _extend(sub, 1, sub.ehrhart, Interval(m), pattern, f"case2[m={m}]")
 
     # Case 3: top two and bottom negative -> r*Q x ReeveT(m), Q realizing the
     # negated inner pattern.  The m-slope of i(ReeveT(m), t) is (t^3 - t)/6:
@@ -451,10 +467,11 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # by -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
     if pattern[0] == -1 and pattern[1] == -1 and pattern[-1] == -1:
         sub = _construct(tuple(-s for s in pattern[2:-1]), max_b)
-        c = sub.ehrhart.poly
+        c = sub.ehrhart.num
         r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
-        m = _solve_size(c.compose_scale(r), ReeveT, pattern, d, "case3")
-        return _extend(sub, r, ReeveT(m), pattern, f"case3[r={r},m={m}]")
+        qr = ehr_dilate(sub.ehrhart, r)
+        m = _solve_size(qr.num, ReeveT, pattern, d, "case3")
+        return _extend(sub, r, qr, ReeveT(m), pattern, f"case3[r={r},m={m}]")
 
     # Case 4: tail (-,+,-) -> r*Q x Quad(a).  The t-coefficient of the product
     # is q_1 + r*c_1, where q_1, the t-coefficient of i(Quad(a), t), does not
@@ -462,12 +479,14 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # linear in a.
     if pattern[-1] == -1 and pattern[-2] == 1 and pattern[-3] == -1:
         sub = _construct(pattern[:-2], max_b)
-        c = sub.ehrhart.poly
+        c = sub.ehrhart.num
         if not c[1] < 0:
             raise SearchExhausted("case4", pattern)
-        r = 1 + _floor_ratio(block_ehrhart(Quad(1)).poly[1], c[1])
-        a = _solve_size(c.compose_scale(r), Quad, pattern, d, "case4")
-        return _extend(sub, r, Quad(a), pattern, f"case4[r={r},a={a}]")
+        q = block_ehrhart(Quad(1))
+        r = 1 + _floor_ratio(q.num[1] * sub.ehrhart.den, c[1] * q.den)
+        qr = ehr_dilate(sub.ehrhart, r)
+        a = _solve_size(qr.num, Quad, pattern, d, "case4")
+        return _extend(sub, r, qr, Quad(a), pattern, f"case4[r={r},a={a}]")
 
     # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
     # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
@@ -481,16 +500,16 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
                 top = _construct(pattern[d - k :], max_b)  # dims k, dilated
                 low = _construct(pattern[: d - k - 2], max_b)  # dims d - k
                 r = _product_threshold(
-                    top.ehrhart.poly, k, low.ehrhart.poly, pattern, d
+                    top.ehrhart.num, k, low.ehrhart.num, pattern, d
                 )
                 if r is None:
                     raise SearchExhausted(case, pattern)
                 step = f"{case}[d1={d1},d2={d2},r={r}]"
                 dilated = top.expr.dilated(r)
-                poly = top.ehrhart.poly.compose_scale(r) * low.ehrhart.poly
+                ehr = ehr_product(ehr_dilate(top.ehrhart, r), low.ehrhart)
                 if case == "case5.1":
-                    return _certify(dilated * low.expr, poly, pattern, step, top, low)
-                return _certify(low.expr * dilated, poly, pattern, step, low, top)
+                    return _certify(dilated * low.expr, ehr, pattern, step, top, low)
+                return _certify(low.expr * dilated, ehr, pattern, step, low, top)
         raise SearchExhausted("case5", pattern)
 
     # Case 6: the residual shape always decomposes

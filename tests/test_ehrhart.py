@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from ehrsign.ehrhart import (
 )
 from ehrsign.eulerian import sdm_hstar
 from ehrsign.oracle import count_quad_points, count_simplex_points, interpolate_through
-from ehrsign.polynomials import Poly
+from ehrsign.polynomials import Poly, binom_poly
 
 
 def reeve_poly(m):
@@ -126,6 +127,90 @@ def test_ehr_dilate():
     assert ehr_dilate(p, 1).poly == p.poly
     with pytest.raises(ValueError):
         ehr_dilate(p, 0)
+
+
+def _fraction_from_hstar(h, d):
+    """sum_i h_i * C(t + d - i, d) in Fraction arithmetic, as a reference."""
+    out = Poly.zero()
+    for i, c in enumerate(h.poly.coeffs):
+        out = out + binom_poly(d - i, d).scale(c)
+    return out
+
+
+_BIG_DELTA = DeltaQ((1, 5, 6, 8, -3, -7), 20)
+
+# (block, its Ehrhart polynomial in Fraction form, the expected denominator)
+INTEGER_FORM_CASES = [
+    (Interval(4), Poly((1, 4)), 1),
+    (ReeveT(1), reeve_poly(1), 6),
+    (ReeveT(2), reeve_poly(2), 3),
+    (ReeveT(12), reeve_poly(12), 1),
+    (ReeveT(13), reeve_poly(13), 6),
+    (EulerianS(3, 2), Poly((1, 3, 3, 2)), 1),
+    (Quad(4), Poly((1, 2, 4)), 1),
+    *((StdSimplex(d), binom_poly(d, d), math.factorial(d)) for d in range(1, 7)),
+    (Delta(DeltaQ((1, 1), 13)), reeve_poly(13), 6),
+    *(
+        (Delta(s), _fraction_from_hstar(hstar_naive(s), s.d), None)
+        for s in (DeltaQ((0, 0), 1), DeltaQ((3, -2, 5), 31), _BIG_DELTA)
+    ),
+]
+
+
+def _assert_integer_form(e, poly):
+    """e stores poly as integer numerators over the lcm of its denominators."""
+    assert e.poly == poly
+    assert all(type(c) is int for c in e.num.coeffs)
+    assert e.den == math.lcm(*(Fraction(c).denominator for c in poly.coeffs))
+    assert math.gcd(e.den, *e.num.coeffs) == 1
+    assert e.num == poly.scale(e.den)
+
+
+@pytest.mark.parametrize("block,poly,den", INTEGER_FORM_CASES)
+def test_integer_form_of_every_block_kind(block, poly, den):
+    e = block_ehrhart(block)
+    _assert_integer_form(e, poly)
+    if den is not None:
+        assert e.den == den
+    assert EhrhartPoly(poly, block.dim) == e
+    assert EhrhartPoly(poly, block.dim).poly == poly
+
+
+def test_integer_form_products_and_dilations_match_fractions():
+    ehrs = [block_ehrhart(block) for block, _, _ in INTEGER_FORM_CASES]
+    for a in ehrs:
+        for r in (1, 2, 3, 6, 12, 35):
+            _assert_integer_form(ehr_dilate(a, r), a.poly.compose_scale(r))
+        for b in ehrs:
+            prod = ehr_product(a, b)
+            _assert_integer_form(prod, a.poly * b.poly)
+            assert prod.dim == a.dim + b.dim
+
+
+def test_integer_form_equality_and_hash_are_structural():
+    # 6 * ReeveT(1) has integer coefficients: the dilation reduces to den 1
+    dilated = ehr_dilate(block_ehrhart(ReeveT(1)), 6)
+    assert (dilated.num, dilated.den) == (Poly((1, 11, 36, 36)), 1)
+    same = EhrhartPoly(Poly((1, 11, 36, 36)), 3)
+    assert dilated == same and hash(dilated) == hash(same)
+    assert len({dilated, same, block_ehrhart(ReeveT(1))}) == 2
+    unreduced = EhrhartPoly.from_num(Poly((12, 22, 12, 2)), 12, 3)
+    assert unreduced == block_ehrhart(ReeveT(1))
+    assert (unreduced.num, unreduced.den) == (Poly((6, 11, 6, 1)), 6)
+    assert EhrhartPoly(Poly((1, 1)), 1) != EhrhartPoly(Poly((1, 2)), 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dilated.den = 2
+
+
+def test_from_num_validation():
+    with pytest.raises(ValueError, match="constant term"):
+        EhrhartPoly.from_num(Poly((5, 1)), 6, 1)
+    with pytest.raises(ValueError, match="degree"):
+        EhrhartPoly.from_num(Poly((6, 1)), 6, 2)
+    with pytest.raises(ValueError, match="volume"):
+        EhrhartPoly.from_num(Poly((6, 1, -1)), 6, 2)
+    with pytest.raises(ValueError, match="half boundary"):
+        EhrhartPoly.from_num(Poly((6, -1, 0, 1)), 6, 3)
 
 
 def test_expr_ehrhart():
