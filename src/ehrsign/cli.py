@@ -7,10 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 search exhaustion,
 from __future__ import annotations
 
 import json
-import random
-import statistics
 import sys
-import time
 
 import click
 
@@ -20,8 +17,6 @@ from .delta import (
     FastPreconditionError,
     hstar,
     hstar_family,
-    hstar_fast,
-    hstar_naive,
     l1_l2,
 )
 from .ehrhart import (
@@ -231,66 +226,6 @@ def cmd_verify(q, n, tmax):
         ok = ok and counted == predicted
     if not ok:
         sys.exit(EXIT_MISMATCH)
-
-
-def _random_fast_instance(rng: random.Random, sum_q: int, n: int) -> DeltaQ:
-    """Random q_head with fast-path precondition: each |q_i| (and derived
-    |q_d|) <= n, and sum |q_i| <= sum_q."""
-    while True:
-        d = rng.randint(3, 10)
-        budget = sum_q // 2
-        head = []
-        for _ in range(d - 1):
-            cap = min(n, max(1, budget // (d - 1)))
-            head.append(rng.randint(-cap, cap))
-        s = DeltaQ(tuple(head), n)
-        if abs(s.q_d) <= n and sum(abs(v) for v in s.q_full) <= sum_q:
-            return s
-
-
-@cli.command("bench")
-@click.option("--sum-q", "sum_q", type=int, default=10_000, show_default=True)
-@click.option("--n", "n", type=int, default=1_000_000_000_000, show_default=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--csv", "as_csv", is_flag=True)
-def cmd_bench(sum_q, n, trials, seed, as_csv):
-    """Time hstar_fast (and, when n is small, hstar_naive) on random instances."""
-    if trials < 0 or sum_q < 2 or n < 1:
-        raise click.UsageError("need trials >= 0, sum-q >= 2, n >= 1")
-    rng = random.Random(seed)
-    naive_ok = n <= 100_000
-    rows = []
-    for trial in range(trials):
-        s = _random_fast_instance(rng, sum_q, n)
-        t0 = time.perf_counter()
-        h_fast = hstar_fast(s)
-        fast_ms = (time.perf_counter() - t0) * 1000
-        naive_ms = ""
-        if naive_ok:
-            t0 = time.perf_counter()
-            h_naive = hstar_naive(s)
-            naive_ms = (time.perf_counter() - t0) * 1000
-            if h_naive != h_fast:
-                click.echo(f"trial {trial}: fast/naive DISAGREE on {s}", err=True)
-                sys.exit(EXIT_MISMATCH)
-        rows.append((trial, s.d, fast_ms, naive_ms))
-    if as_csv:
-        click.echo("trial,d,fast_ms,naive_ms")
-        for trial, d, fast_ms, naive_ms in rows:
-            naive_field = f"{naive_ms:.3f}" if naive_ms != "" else ""
-            click.echo(f"{trial},{d},{fast_ms:.3f},{naive_field}")
-        return
-    if not rows:
-        click.echo("no trials requested")
-        return
-    med = statistics.median(r[2] for r in rows)
-    click.echo(f"fast path: median {med:.3f} ms over {len(rows)} trials (n={n})")
-    if naive_ok:
-        med_n = statistics.median(r[3] for r in rows)
-        click.echo(f"naive path: median {med_n:.3f} ms")
-    else:
-        click.echo("naive path: skipped (n too large)")
 
 
 def main(argv=None) -> int:

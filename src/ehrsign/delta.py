@@ -6,25 +6,29 @@ with the derived last coordinate q_d = 1 - sum_{i<d} q_i.
 
 Two computation paths are provided: the direct O(n*d) summation and a
 breakpoint/plateau reconstruction that needs only O(sum |q_i|) operations
-(valid when n >= |q_i| for every i, q_d included).  The module also computes
-the characteristic polynomials L1, L2 of the parametric family where n is
-scaled by m (requires q_i | n): h* of the member is m*x*L1(x) + L2(x), so
-x*L1 is read off the m = 2 and m = 1 members, with the A(j) sum as the naive
-reference.  Last come the closed-form special families used as golden
-vectors.
+(valid when n >= |q_i| for every i, q_d included).  The breakpoint pass runs
+as a big-int Python loop, or in bulk in numpy when every |q_i|*n < 2^62 and
+sum |q_i| reaches a measured cut: about 200 once numpy is loaded, about
+1.5*10^5 before, where the branch must also pay for importing numpy.  The
+module also computes the characteristic polynomials L1, L2 of the
+parametric family where n is scaled by m (requires q_i | n): h* of the
+member is m*x*L1(x) + L2(x), so x*L1 is read off the m = 2 and m = 1
+members, with the A(j) sum as the naive reference.  Last come the
+closed-form special families used as golden vectors.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
 from .polynomials import Poly
 
-# numpy path is used only when every intermediate |q_i * j| provably fits
+# numpy paths are used only when every intermediate |q_i * j| provably fits
 # in int64; otherwise we fall back to Python big ints.  numpy is imported
-# on that path only, so importing the package does not load it.
+# on those paths only, so importing the package does not load it.
 _INT64_SAFE = 2**62
 _NUMPY_MIN_N = 512
 
@@ -173,18 +177,13 @@ def fast_precondition_ok(s: DeltaQ) -> bool:
     return s.n >= max(abs(q) for q in s.q_full)
 
 
-def hstar_fast(s: DeltaQ) -> HStar:
-    """Breakpoint/plateau computation; O(sum |q_i|) operations, independent
-    of n.  Requires n >= |q_i| for every i including the derived q_d."""
-    if not fast_precondition_ok(s):
-        raise FastPreconditionError(
-            "hstar_fast requires n >= max|q_i| (q_d included); "
-            "fall back to hstar_naive"
-        )
+def _plateau_counts(s: DeltaQ) -> list[int]:
+    """Coefficients of h*: the plateau lengths of the height
+    sum_i ceil(q_i*j/n), summed per height, from the big-int `_net_jumps`."""
     n, d = s.n, s.d
     net = _net_jumps(s)
-    # the height sum_i ceil(q_i*j/n) is 0 at j = 0 and changes only at the
-    # sorted breakpoints; each plateau adds its length to x^height
+    # the height is 0 at j = 0 and changes only at the sorted breakpoints;
+    # each plateau adds its length to x^height
     counts = [0] * (d + 1)
     height = 0
     prev = 0
@@ -198,7 +197,80 @@ def hstar_fast(s: DeltaQ) -> HStar:
     if not 0 <= height <= d:
         raise AssertionError("internal error: plateau height outside [0, d]")
     counts[height] += n - prev
-    return HStar(Poly(counts), d)
+    return counts
+
+
+def _net_jumps_numpy(s: DeltaQ):
+    """`_net_jumps` in bulk: the breakpoint positions in increasing order and
+    the net jump at each, as two int64 arrays.  Needs |q_i|*n < 2^62 for
+    every i, so that every m*n below fits."""
+    import numpy as np
+
+    n = s.n
+    ups, downs = [], []
+    for q in s.q_full:
+        if q > 0:
+            m = np.arange(q - 1 if q == n else q, dtype=np.int64)
+            ups.append(m * n // q + 1)
+        elif q < 0:
+            m = np.arange(1, -q, dtype=np.int64)
+            downs.append(-((m * -n) // -q))
+    n_up = sum(len(a) for a in ups)
+    pos = np.concatenate(ups + downs)  # q_full sums to 1: ups is never empty
+    order = np.argsort(pos)
+    pos = pos[order]
+    sign = np.where(order < n_up, 1, -1)
+    # one entry per distinct position, its signs summed
+    first = np.flatnonzero(np.diff(pos, prepend=-1))
+    return pos[first], np.add.reduceat(sign, first)
+
+
+def _plateau_counts_numpy(s: DeltaQ) -> list[int]:
+    """`_plateau_counts` in bulk, under the same int64 bound as
+    `_net_jumps_numpy`.  Distinct positions leave no empty plateau; lengths
+    reach n, so they are summed per height in int64, never as float weights."""
+    import numpy as np
+
+    pos, net = _net_jumps_numpy(s)
+    heights = np.concatenate(([0], np.cumsum(net)))
+    lengths = np.diff(pos, prepend=0, append=s.n)
+    if heights.min() < 0 or heights.max() > s.d:
+        raise AssertionError("internal error: plateau height outside [0, d]")
+    counts = np.zeros(s.d + 1, dtype=np.int64)
+    np.add.at(counts, heights, lengths)
+    return counts.tolist()
+
+
+# sum |q_i| from which the numpy branch beats the loop: with numpy loaded
+# (d = 3..16 break even at 100..180), and cold, where it also pays for the
+# ~0.15 s numpy import (break-even 1.4e5..1.6e5).  Measured at n = 10^12 on
+# a 2-vCPU Xeon VM, Python 3.11, numpy 2.4.
+_NUMPY_CUT_WARM = 200
+_NUMPY_CUT_COLD = 150_000
+
+
+def _jumps_numpy_ok(s: DeltaQ) -> bool:
+    cut = _NUMPY_CUT_WARM if "numpy" in sys.modules else _NUMPY_CUT_COLD
+    return sum(abs(q) for q in s.q_full) >= cut and all(
+        abs(q) * s.n < _INT64_SAFE for q in s.q_full
+    )
+
+
+def hstar_fast(s: DeltaQ) -> HStar:
+    """Breakpoint/plateau computation; O(sum |q_i|) operations, independent
+    of n.  Requires n >= |q_i| for every i including the derived q_d.
+
+    The plateaus are summed in numpy when every |q_i|*n < 2^62 (so every
+    breakpoint m*n fits int64) and sum |q_i| reaches _NUMPY_CUT_WARM with
+    numpy already loaded, or _NUMPY_CUT_COLD without; otherwise, and past
+    int64, by the big-int loop.  Both give the same h*."""
+    if not fast_precondition_ok(s):
+        raise FastPreconditionError(
+            "hstar_fast requires n >= max|q_i| (q_d included); "
+            "fall back to hstar_naive"
+        )
+    counts = _plateau_counts_numpy(s) if _jumps_numpy_ok(s) else _plateau_counts(s)
+    return HStar(Poly(counts), s.d)
 
 
 Method = Literal["auto", "fast", "naive"]

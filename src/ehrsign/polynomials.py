@@ -167,6 +167,20 @@ def binom_poly(shift: int, d: int) -> Poly:
     return falling_poly(shift, d).scale(Fraction(1, math.factorial(d)))
 
 
+def decimal_str(x: int) -> str:
+    """str(x) for an int of any size, independent of the interpreter's
+    int-to-str limit (sys.int_max_str_digits), which it neither reads nor
+    changes: divmod by a power of ten splits x into parts of at most 602
+    digits, below the smallest limit Python allows (640)."""
+    if x.bit_length() <= 2000:
+        return str(x)
+    if x < 0:
+        return "-" + decimal_str(-x)
+    k = x.bit_length() * 3 // 20  # about half of x's digits
+    hi, lo = divmod(x, 10**k)
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
 def poly_to_text(p: Poly, var: str = "x") -> str:
     """Render terms joined by " + " / " - ", ascending degree.
 

@@ -42,7 +42,7 @@ from .ehrhart import (
     sign_vector,
     _sgn,
 )
-from .polynomials import Poly
+from .polynomials import Poly, decimal_str
 
 DEFAULT_MAX_BASE = 64
 
@@ -444,6 +444,9 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         expr = _catalog()[format_pattern(pattern)]
         return _certify(expr, expr_ehrhart(expr), pattern, f"catalog-d{d}")
 
+    # Step parameters can pass the int-to-str limit (a Case-1 r has over
+    # 5,000 digits at d = 16), so the traces write them with decimal_str.
+
     # Case 1: top middle coefficient positive -> r*Q x [0,1].  The product
     # coefficients are r^j c_j + r^{j-1} c_{j-1}, so any r beyond the largest
     # |c_{j-1}/c_j| ratio keeps every middle sign equal to sgn(c_j).
@@ -452,14 +455,14 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         c = sub.ehrhart.num
         r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
         qr = ehr_dilate(sub.ehrhart, r)
-        return _extend(sub, r, qr, Interval(1), pattern, f"case1[r={r}]")
+        return _extend(sub, r, qr, Interval(1), pattern, f"case1[r={decimal_str(r)}]")
 
     # Case 2: bottom middle coefficient positive -> Q x [0,m]; coefficients
     # are linear in m, so solve for the smallest m directly.
     if pattern[-1] == 1:
         sub = _construct(pattern[:-1], max_b)
         m = _solve_size(sub.ehrhart.num, Interval, pattern, d, "case2")
-        return _extend(sub, 1, sub.ehrhart, Interval(m), pattern, f"case2[m={m}]")
+        return _extend(sub, 1, sub.ehrhart, Interval(m), pattern, f"case2[m={decimal_str(m)}]")
 
     # Case 3: top two and bottom negative -> r*Q x ReeveT(m), Q realizing the
     # negated inner pattern.  The m-slope of i(ReeveT(m), t) is (t^3 - t)/6:
@@ -471,7 +474,8 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
         qr = ehr_dilate(sub.ehrhart, r)
         m = _solve_size(qr.num, ReeveT, pattern, d, "case3")
-        return _extend(sub, r, qr, ReeveT(m), pattern, f"case3[r={r},m={m}]")
+        step = f"case3[r={decimal_str(r)},m={decimal_str(m)}]"
+        return _extend(sub, r, qr, ReeveT(m), pattern, step)
 
     # Case 4: tail (-,+,-) -> r*Q x Quad(a).  The t-coefficient of the product
     # is q_1 + r*c_1, where q_1, the t-coefficient of i(Quad(a), t), does not
@@ -486,7 +490,8 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         r = 1 + _floor_ratio(q.num[1] * sub.ehrhart.den, c[1] * q.den)
         qr = ehr_dilate(sub.ehrhart, r)
         a = _solve_size(qr.num, Quad, pattern, d, "case4")
-        return _extend(sub, r, qr, Quad(a), pattern, f"case4[r={r},a={a}]")
+        step = f"case4[r={decimal_str(r)},a={decimal_str(a)}]"
+        return _extend(sub, r, qr, Quad(a), pattern, step)
 
     # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
     # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
@@ -504,7 +509,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
                 )
                 if r is None:
                     raise SearchExhausted(case, pattern)
-                step = f"{case}[d1={d1},d2={d2},r={r}]"
+                step = f"{case}[d1={d1},d2={d2},r={decimal_str(r)}]"
                 dilated = top.expr.dilated(r)
                 ehr = ehr_product(ehr_dilate(top.ehrhart, r), low.ehrhart)
                 if case == "case5.1":

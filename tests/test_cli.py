@@ -227,40 +227,9 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
-def test_bench_trivial(capsys):
-    code, out, _ = run(capsys, "bench", "--trials", "0")
-    assert code == 0
-    assert "no trials" in out
-
-
-def test_bench_small_differential(capsys):
-    code, out, _ = run(capsys, "bench", "--sum-q", "60", "--n", "500", "--trials", "2")
-    assert code == 0
-    assert "fast path" in out and "naive path" in out
-    assert "skipped" not in out
-
-
-def test_bench_large_n_skips_naive(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--sum-q", "100", "--n", "1000000000000", "--trials", "2"
-    )
-    assert code == 0
-    assert "skipped (n too large)" in out
-
-
-def test_bench_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--sum-q", "60", "--n", "500", "--trials", "2", "--csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "trial,d,fast_ms,naive_ms"
-    assert len(lines) == 3
-
-
-def test_bench_rejects_bad_args(capsys):
-    assert run(capsys, "bench", "--trials", "-1")[0] == 64
-
-
 # Run in a fresh interpreter: other tests in this process have imported numpy.
+# The fast-path calls have sum |q_i| near 10^4 (q_d included), and the
+# direct one sits just under the cold cut: all stay on the big-int loop.
 NUMPY_STAYS_UNLOADED = """
 import sys
 import ehrsign
@@ -268,20 +237,28 @@ from ehrsign import cli
 for argv in (
     ["sign-construct", "--json", "--pattern", "+-+-"],
     ["hstar", "--q", "1,-2", "--n", "9"],
+    ["hstar", "--q", "4000,-3000,-2000", "--n", "1000000000000"],
     ["family", "--q", "-3,-2", "--n", "6", "--m", "2"],
+    ["family", "--q", "-5000,5000", "--n", "10000", "--m", "2"],
     ["eulerian", "--d", "7", "--method", "descent"],
 ):
     assert cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules
-from ehrsign.delta import DeltaQ, hstar_naive
+from ehrsign.delta import _NUMPY_CUT_COLD, DeltaQ, hstar_fast, hstar_naive
 from ehrsign.eulerian import eulerian_descent
+hstar_fast(DeltaQ((1 - _NUMPY_CUT_COLD // 2,), 10**12))
+assert "numpy" not in sys.modules
 {summation}
 assert "numpy" in sys.modules
 """
 
 
 @pytest.mark.parametrize(
-    "summation", ["hstar_naive(DeltaQ((3, -2, 5), 1024))", "eulerian_descent(8)"]
+    "summation",
+    [
+        "hstar_naive(DeltaQ((3, -2, 5), 1024))",
+        "eulerian_descent(8)",
+        "hstar_fast(DeltaQ((-(_NUMPY_CUT_COLD // 2),), 10**12))",
+    ],
 )
 def test_numpy_is_loaded_only_by_the_guarded_summations(summation):
     # the child imports the same ehrsign tree as this process

@@ -7,8 +7,10 @@ forms; the fast path is always cross-checked against the naive summation.
 
 import random
 
+import numpy  # noqa: F401  (loaded, so the in-process cut applies)
 import pytest
 
+from ehrsign import delta
 from ehrsign.delta import (
     DeltaQ,
     DivisibilityError,
@@ -28,6 +30,15 @@ from ehrsign.delta import (
     r_even,
     r_odd,
     special_family,
+)
+from ehrsign.delta import (
+    _INT64_SAFE,
+    _NUMPY_CUT_WARM,
+    _jumps_numpy_ok,
+    _net_jumps,
+    _net_jumps_numpy,
+    _plateau_counts,
+    _plateau_counts_numpy,
 )
 from ehrsign.polynomials import Poly, poly_to_text
 
@@ -164,6 +175,115 @@ def test_huge_n_fast_path():
     h = hstar_fast(s)
     assert h.normalized_volume() == n
     assert h.poly[0] == 1
+
+
+# --- the vectorized plateau pass ----------------------------------------------
+
+
+def _sum_abs(s):
+    return sum(abs(q) for q in s.q_full)
+
+
+def _random_head(rng, d, total):
+    """d-1 signed parts whose absolute values sum to total//2, so that
+    sum |q_i|, the derived q_d included, lies between total/2 and about total."""
+    cuts = sorted(rng.sample(range(1, total // 2), d - 2))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [total // 2])]
+    return tuple(p * rng.choice((1, -1)) for p in parts)
+
+
+def _both_paths(s):
+    """The plateau counts of the numpy helper, checked against the loop and
+    (through the collector) against `_net_jumps`."""
+    pos, net = _net_jumps_numpy(s)
+    assert dict(zip(pos.tolist(), net.tolist())) == _net_jumps(s), s
+    counts = _plateau_counts_numpy(s)
+    assert counts == _plateau_counts(s), s
+    assert all(type(c) is int for c in counts)
+    return HStar(Poly(counts), s.d)
+
+
+def test_vectorized_plateaus_match_naive():
+    rng = random.Random(7)
+    for _ in range(120):
+        d = rng.randint(3, 12)
+        head = _random_head(rng, d, rng.randint(2 * _NUMPY_CUT_WARM, 6000))
+        bound = max(abs(q) for q in DeltaQ(head, 1).q_full)
+        s = DeltaQ(head, rng.randint(bound, 5 * 10**4))
+        assert _sum_abs(s) >= _NUMPY_CUT_WARM
+        assert _both_paths(s) == hstar_naive(s), s
+
+
+def test_vectorized_plateaus_at_coincident_breakpoints():
+    n = 720
+    cases = [
+        (n, -n),  # q_i = n and q_i = -n: both staircases jump at every j
+        (n, 1 - n, -n),
+        (-n, 1, 2, -2),  # q_d = n
+        (360, 240, -180, -144, -120),  # divisors of n
+        (240, 240, -240, -240, 240),  # repeated q_i
+        (7, 7, 7, -20),
+        (1 - n,),  # q_d = n, d = 2
+        (0, 0, -3),
+    ]
+    for head in cases:
+        s = DeltaQ(head, n)
+        assert _both_paths(s) == hstar_naive(s), head
+    # a single breakpoint-free staircase: q = (0, 1) with n = 1
+    assert _both_paths(DeltaQ((0,), 1)) == hstar_naive(DeltaQ((0,), 1))
+
+
+def test_vectorized_plateaus_at_huge_n():
+    rng = random.Random(12)
+    for total in (10**3, 10**4, 2 * 10**5):
+        s = DeltaQ(_random_head(rng, rng.randint(3, 10), total), 10**12)
+        h = _both_paths(s)
+        assert h.normalized_volume() == 10**12
+
+
+def test_numpy_branch_guard_edge():
+    # max |q_i| * n = 1024 * 2^52 = 2^62 must fall back to the loop; one less
+    # is taken (sum |q_i| = 2047 is past the in-process cut)
+    head = (1024, -1023)
+    assert not _jumps_numpy_ok(DeltaQ(head, 2**52))
+    s = DeltaQ(head, 2**52 - 1)
+    assert max(abs(q) for q in s.q_full) * s.n < _INT64_SAFE <= 1024 * 2**52
+    assert _jumps_numpy_ok(s)
+    _both_paths(s)
+    # just under the bound, with plateaus of ~10^18 that no float holds exactly
+    for head in ((3, -2), (5, 2, -3), (-7, 6)):
+        qmax = max(abs(q) for q in DeltaQ(head, 1).q_full)
+        s = DeltaQ(head, (_INT64_SAFE - 1) // qmax)
+        h = _both_paths(s)
+        assert h.normalized_volume() == s.n
+
+
+def test_hstar_fast_falls_back_past_int64(monkeypatch):
+    calls = []
+    monkeypatch.setattr(delta, "_plateau_counts_numpy", lambda s: calls.append(s))
+    # r_odd: q = (a, -a, 1), n = s + 1, with a = 10^3 and n = 10^20
+    s, expected = r_odd(10**20 - 1, 2, 1000)
+    assert _sum_abs(s) >= _NUMPY_CUT_WARM and not _jumps_numpy_ok(s)
+    assert hstar_fast(s) == expected
+    assert hstar_fast(DeltaQ((1024, -1023), 2**52)).normalized_volume() == 2**52
+    assert calls == []
+
+
+def test_hstar_fast_takes_the_numpy_branch_past_the_cut(monkeypatch):
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return _plateau_counts_numpy(s)
+
+    monkeypatch.setattr(delta, "_plateau_counts_numpy", spy)
+    above = DeltaQ((-(_NUMPY_CUT_WARM // 2),), 10**12)  # sum |q_i| = cut + 1
+    below = DeltaQ((-(_NUMPY_CUT_WARM // 2) + 1,), 10**12)  # cut - 1
+    h = hstar_fast(above)
+    assert calls == [above]
+    assert h.poly.coeffs == tuple(_plateau_counts(above))
+    hstar_fast(below)
+    assert calls == [above]
 
 
 # --- characteristic polynomials ---------------------------------------------

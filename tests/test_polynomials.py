@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from ehrsign.polynomials import (
     Poly,
     all_integer,
     binom_poly,
+    decimal_str,
     poly_from_json,
     poly_to_json,
     poly_to_text,
@@ -116,3 +119,21 @@ def test_json_round_trip():
 def test_all_integer():
     assert all_integer(Poly((1, 2, 3)))
     assert not all_integer(Poly((1, Fraction(1, 2))))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_decimal_str_ignores_the_int_str_limit():
+    rng = random.Random(5)
+    values = [0, 7, -7, 10**602, 10**603 - 1, 2**2000, 2**2001, -(3**40000)]
+    values += [rng.getrandbits(rng.randint(1, 80000)) for _ in range(20)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+        got = [decimal_str(x) for x in values]
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        assert got == [str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)

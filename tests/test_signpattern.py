@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,6 +188,34 @@ def test_construct_expands_only_the_catalog_lookup(fresh_memo, monkeypatch):
     res = construct((1,) * 6)
     assert [t.partition("[")[0] for t in res.trace] == ["case1"] * 4 + ["catalog-d4"]
     assert len(calls) == 1  # the Case-1 peels multiply closed forms
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_construct_at_default_int_str_limit(fresh_memo):
+    # d = 16: a Case-1 dilation here has over 5,000 digits, past the default
+    # limit of 4300; the trace must read as plain str() of each parameter
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        res = construct(parse_pattern("+-+-++++++++++"))
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(0)
+        rebuilt = []
+        for step in res.trace:
+            m = re.fullmatch(r"(case[1-5][.12]*)\[(.*)\]", step)
+            if m is None:
+                rebuilt.append(step)
+                continue
+            params = [kv.split("=") for kv in m.group(2).split(",")]
+            body = ",".join(f"{k}={int(v)}" for k, v in params)
+            rebuilt.append(f"{m.group(1)}[{body}]")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert tuple(rebuilt) == res.trace
+    assert max(len(step) for step in res.trace) > sys.int_info.default_max_str_digits
+    assert res.trace[0].startswith("case1[r=") and res.trace[-1] == "catalog-d3"
 
 
 def test_construct_polynomial_matches_full_expansion():
