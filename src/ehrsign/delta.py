@@ -6,15 +6,17 @@ with the derived last coordinate q_d = 1 - sum_{i<d} q_i.
 
 Two computation paths are provided: the direct O(n*d) summation and a
 breakpoint/plateau reconstruction that needs only O(sum |q_i|) operations
-(valid when n >= |q_i| for every i, q_d included).  The breakpoint pass runs
-as a big-int Python loop, or in bulk in numpy when every |q_i|*n < 2^62 and
-sum |q_i| reaches a measured cut: about 200 once numpy is loaded, about
-1.5*10^5 before, where the branch must also pay for importing numpy.  The
-module also computes the characteristic polynomials L1, L2 of the
-parametric family where n is scaled by m (requires q_i | n): h* of the
-member is m*x*L1(x) + L2(x), so x*L1 is read off the m = 2 and m = 1
-members, with the A(j) sum as the naive reference.  Last come the
-closed-form special families used as golden vectors.
+(valid when n >= |q_i| for every i, q_d included).  Each runs as a big-int
+Python loop, or in bulk in numpy under an int64 bound once its size
+reaches a measured cut (`_numpy_pays`): a low cut once numpy is loaded, a
+high one before, where the call must also pay for importing numpy.  The
+direct sum's size is n (cuts 512 and 10^5), the breakpoint pass's is
+sum |q_i| (200 and 1.5*10^5).  The module also computes the
+characteristic polynomials L1, L2 of the parametric family where n is
+scaled by m (requires q_i | n): h* of the member is m*x*L1(x) + L2(x), so
+x*L1 is read off the m = 2 and m = 1 members, with the A(j) sum as the
+naive reference.  Last come the closed-form special families used as
+golden vectors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,21 @@ from .polynomials import Poly
 # in int64; otherwise we fall back to Python big ints.  numpy is imported
 # on those paths only, so importing the package does not load it.
 _INT64_SAFE = 2**62
-_NUMPY_MIN_N = 512
+
+# n from which hstar_naive's defining sum runs in numpy: with numpy loaded,
+# and cold, where it also pays the ~0.15 s numpy import (the loop takes
+# 1.1..2.2 us per j at d = 3..8, break-even n 7e4..1.2e5).  Measured on a
+# 2-vCPU Xeon VM, Python 3.11, numpy 2.4.
+_NAIVE_CUT_WARM = 512
+_NAIVE_CUT_COLD = 100_000
+
+
+def _numpy_pays(work: int, warm_cut: int, cold_cut: int) -> bool:
+    """Whether a numpy pass over `work` beats the Python loop: from warm_cut
+    on when numpy is already loaded, from cold_cut on when the pass would
+    have to import it first.  The one numpy-or-loop rule of the package;
+    the caller still checks that its integers fit int64."""
+    return work >= (warm_cut if "numpy" in sys.modules else cold_cut)
 
 
 class FastPreconditionError(ValueError):
@@ -102,7 +118,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _exponents_numpy_ok(s: DeltaQ) -> bool:
-    return s.n >= _NUMPY_MIN_N and all(
+    return _numpy_pays(s.n, _NAIVE_CUT_WARM, _NAIVE_CUT_COLD) and all(
         abs(q) * (s.n - 1) < _INT64_SAFE for q in s.q_full
     )
 
@@ -250,8 +266,8 @@ _NUMPY_CUT_COLD = 150_000
 
 
 def _jumps_numpy_ok(s: DeltaQ) -> bool:
-    cut = _NUMPY_CUT_WARM if "numpy" in sys.modules else _NUMPY_CUT_COLD
-    return sum(abs(q) for q in s.q_full) >= cut and all(
+    work = sum(abs(q) for q in s.q_full)
+    return _numpy_pays(work, _NUMPY_CUT_WARM, _NUMPY_CUT_COLD) and all(
         abs(q) * s.n < _INT64_SAFE for q in s.q_full
     )
 

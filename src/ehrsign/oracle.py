@@ -1,10 +1,18 @@
-"""Brute-force lattice-point ground truth.
+"""Lattice-point ground truth.
 
 Counts lattice points of dilates of Delta(0,q) (and of the 2-D quad block
-and standard simplices) by bounded enumeration, then recovers Ehrhart and
-h*-polynomials by interpolation.  Everything is exact integer arithmetic:
-membership in t*Delta(0,q) is tested with the inequalities scaled by n.
-The guards are hard preconditions, not silent truncation.
+and standard simplices) straight from the defining inequalities, then
+recovers Ehrhart and h*-polynomials by interpolation.  Everything is exact
+integer arithmetic: membership in t*Delta(0,q) is tested with the
+inequalities scaled by n.
+
+t*Delta(0,q) is counted one x_d slice at a time.  With x_d fixed, each
+barycentric coordinate lam_i = x_i - q_i*x_d/n (i < d) is its smallest
+feasible value plus a non-negative integer, so the slice is a dilated
+standard simplex whose points one binomial coefficient counts.  The slices
+are summed one by one, never grouped by x_d mod n: grouping them is the
+h*->Ehrhart conversion itself, and the oracle exists to check that formula
+independently.  The guards are hard preconditions, not silent truncation.
 """
 
 from __future__ import annotations
@@ -56,8 +64,9 @@ def count_points(s: DeltaQ, t: int) -> DilationCount:
     """Exact |t*Delta(0,q) cap Z^d| and its interior count.
 
     x lies in t*Delta(0,q) iff lam_d := x_d/n >= 0, lam_i := x_i - q_i x_d/n
-    >= 0, and sum lam <= t; interior uses strict inequalities.  All tests are
-    done on the n-scaled integers.
+    >= 0, and sum lam <= t; interior uses strict inequalities.  Each of the
+    n*t + 1 slices x_d = const is counted in O(d) from these inequalities
+    on the n-scaled integers.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -76,27 +85,22 @@ def count_points(s: DeltaQ, t: int) -> DilationCount:
 
     n = s.n
     qs = s.q_head
+    free = len(qs)  # lam_1, ..., lam_{d-1}
+    tn = t * n
     total = 0
     interior = 0
-    tn = t * n
-
-    def walk(i: int, budget: int, strict_ok: bool):
-        # budget = n*(t - lam_d - lam_1 - ... - lam_{i-1}), an integer >= 0
-        nonlocal total, interior
-        if i == len(qs):
-            total += 1
-            if strict_ok and budget > 0:
-                interior += 1
-            return
-        base = qs[i] * x_d  # n * (q_i * lam_d)
-        lo = -((-base) // n)  # ceil(base / n)
-        hi = (base + budget) // n
-        for x_i in range(lo, hi + 1):
-            lam_scaled = n * x_i - base
-            walk(i + 1, budget - lam_scaled, strict_ok and lam_scaled > 0)
-
     for x_d in range(0, tn + 1):
-        walk(0, tn - x_d, x_d > 0)
+        budget = tn - x_d  # n*(t - lam_d), left for lam_1 + ... + lam_{d-1}
+        # n*lam_i = n*x_i - q_i*x_d runs over r_i, r_i + n, r_i + 2n, ...
+        rs = [(-q * x_d) % n for q in qs]
+        low = sum(rs)
+        if low <= budget:
+            total += math.comb((budget - low) // n + free, free)
+            # interior: lam_d > 0, every lam_i > 0 (so n*lam_i starts at n
+            # where r_i = 0) and the slack t - sum lam > 0
+            low += n * rs.count(0)
+            if x_d > 0 and low < budget:
+                interior += math.comb((budget - low - 1) // n + free, free)
     return DilationCount(t, total, interior)
 
 

@@ -181,10 +181,19 @@ def decimal_str(x: int) -> str:
     return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
+def _coeff_str(c: Coeff) -> str:
+    """str(c) for an int or Fraction coefficient, built from `decimal_str`
+    so that it, too, ignores the int-to-str limit."""
+    if isinstance(c, Fraction):
+        return f"{decimal_str(c.numerator)}/{decimal_str(c.denominator)}"
+    return decimal_str(c)
+
+
 def poly_to_text(p: Poly, var: str = "x") -> str:
     """Render terms joined by " + " / " - ", ascending degree.
 
     E.g. "1 + 7*x^3 + 9*x^4 + 3*x^5"; rational coefficients as "p/q".
+    Integers of any size are written out whatever the int-to-str limit.
     """
     if p.is_zero:
         return "0"
@@ -194,10 +203,10 @@ def poly_to_text(p: Poly, var: str = "x") -> str:
             continue
         mag = abs(c)
         if i == 0:
-            body = str(mag)
+            body = _coeff_str(mag)
         else:
             power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
+            body = power if mag == 1 else f"{_coeff_str(mag)}*{power}"
         parts.append((c < 0, body))
     out = ("-" if parts[0][0] else "") + parts[0][1]
     for neg, body in parts[1:]:
@@ -206,7 +215,7 @@ def poly_to_text(p: Poly, var: str = "x") -> str:
 
 
 def poly_to_json(p: Poly, var: str = "x") -> dict:
-    return {"var": var, "coeffs": [str(c) for c in p.coeffs]}
+    return {"var": var, "coeffs": [_coeff_str(c) for c in p.coeffs]}
 
 
 def poly_from_json(obj: dict) -> Poly:

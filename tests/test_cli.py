@@ -229,7 +229,7 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 
 # Run in a fresh interpreter: other tests in this process have imported numpy.
 # The fast-path calls have sum |q_i| near 10^4 (q_d included), and the
-# direct one sits just under the cold cut: all stay on the big-int loop.
+# direct ones sit just under the cold cuts: all stay on the big-int loop.
 NUMPY_STAYS_UNLOADED = """
 import sys
 import ehrsign
@@ -241,11 +241,14 @@ for argv in (
     ["family", "--q", "-3,-2", "--n", "6", "--m", "2"],
     ["family", "--q", "-5000,5000", "--n", "10000", "--m", "2"],
     ["eulerian", "--d", "7", "--method", "descent"],
+    ["eulerian", "--d", "8", "--method", "descent"],
+    ["verify", "--q", "1000,1000,1000", "--n", "1000"],
 ):
     assert cli.main(argv) == 0, argv
-from ehrsign.delta import _NUMPY_CUT_COLD, DeltaQ, hstar_fast, hstar_naive
+from ehrsign.delta import _NAIVE_CUT_COLD, _NUMPY_CUT_COLD, DeltaQ, hstar_fast, hstar_naive
 from ehrsign.eulerian import eulerian_descent
 hstar_fast(DeltaQ((1 - _NUMPY_CUT_COLD // 2,), 10**12))
+hstar_naive(DeltaQ((3, -2, 5), _NAIVE_CUT_COLD - 1))
 assert "numpy" not in sys.modules
 {summation}
 assert "numpy" in sys.modules
@@ -255,8 +258,10 @@ assert "numpy" in sys.modules
 @pytest.mark.parametrize(
     "summation",
     [
-        "hstar_naive(DeltaQ((3, -2, 5), 1024))",
-        "eulerian_descent(8)",
+        pytest.param(
+            "hstar_naive(DeltaQ((3, -2, 5), _NAIVE_CUT_COLD))", id="hstar_naive_at_cold_cut"
+        ),
+        "eulerian_descent(9)",
         "hstar_fast(DeltaQ((-(_NUMPY_CUT_COLD // 2),), 10**12))",
     ],
 )

@@ -6,6 +6,7 @@ forms; the fast path is always cross-checked against the naive summation.
 """
 
 import random
+import sys
 
 import numpy  # noqa: F401  (loaded, so the in-process cut applies)
 import pytest
@@ -36,6 +37,7 @@ from ehrsign.delta import (
     _NUMPY_CUT_WARM,
     _jumps_numpy_ok,
     _net_jumps,
+    _numpy_pays,
     _net_jumps_numpy,
     _plateau_counts,
     _plateau_counts_numpy,
@@ -256,6 +258,12 @@ def test_numpy_branch_guard_edge():
         s = DeltaQ(head, (_INT64_SAFE - 1) // qmax)
         h = _both_paths(s)
         assert h.normalized_volume() == s.n
+
+
+def test_numpy_pays_reads_whether_numpy_is_loaded(monkeypatch):
+    assert _numpy_pays(10, 10, 100) and not _numpy_pays(9, 10, 100)
+    monkeypatch.delitem(sys.modules, "numpy")  # as in a fresh interpreter
+    assert not _numpy_pays(99, 10, 100) and _numpy_pays(100, 10, 100)
 
 
 def test_hstar_fast_falls_back_past_int64(monkeypatch):

@@ -1,12 +1,16 @@
 """The lattice oracle is the ground truth the closed forms are judged
-against, so its own tests lean on hand-countable instances and internal
-consistency (interpolation honesty, monotonicity, the h1/h_d identities)."""
+against, so its own tests lean on hand-countable instances, internal
+consistency (interpolation honesty, monotonicity, the h1/h_d identities),
+and a point-by-point enumeration that the per-slice counts must match."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrsign.delta import DeltaQ, hstar_naive
 from ehrsign.ehrhart import from_hstar
@@ -21,6 +25,85 @@ from ehrsign.oracle import (
     interpolate_through,
 )
 from ehrsign.polynomials import Poly
+
+
+def walk_count(s: DeltaQ, t: int) -> tuple[int, int]:
+    """Reference (count, interior_count) of t*Delta(0,q): visits every lattice
+    point, one recursive call per point, on the n-scaled inequalities."""
+    n = s.n
+    qs = s.q_head
+    total = 0
+    interior = 0
+
+    def walk(i: int, budget: int, strict_ok: bool):
+        # budget = n*(t - lam_d - lam_1 - ... - lam_{i-1}), an integer >= 0
+        nonlocal total, interior
+        if i == len(qs):
+            total += 1
+            if strict_ok and budget > 0:
+                interior += 1
+            return
+        base = qs[i] * x_d  # n * (q_i * lam_d)
+        lo = -((-base) // n)  # ceil(base / n)
+        hi = (base + budget) // n
+        for x_i in range(lo, hi + 1):
+            lam_scaled = n * x_i - base
+            walk(i + 1, budget - lam_scaled, strict_ok and lam_scaled > 0)
+
+    for x_d in range(0, t * n + 1):
+        walk(0, t * n - x_d, x_d > 0)
+    return total, interior
+
+
+def counts(s: DeltaQ, t: int) -> tuple[int, int]:
+    c = count_points(s, t)
+    return c.count, c.interior_count
+
+
+def small_heads(d: int, n: int):
+    """Every q_head over values that hit the slice edge cases: q_i = 0 (all
+    residues 0), q_i = +-n (residues 0, facets through lattice points), +-1
+    and n + 1; negative heads push the derived q_d past n."""
+    values = sorted({0, 1, -1, n, -n, n + 1, -2 * n})
+    return itertools.product(values, repeat=d - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_slice_counts_match_walk_exhaustively(d):
+    for n in (1, 2, 3, 5):
+        for head in small_heads(d, n):
+            s = DeltaQ(head, n)
+            for t in range(4):
+                assert counts(s, t) == walk_count(s, t), (s, t)
+
+
+@pytest.mark.parametrize("head, n", [((1, 1), 1), ((-1,), 2), ((2, -1), 3),
+                                     ((-3, -2), 6), ((1, -1, 1), 1), ((0, 2, -2), 2)])
+def test_slice_counts_match_walk_up_to_the_guard(monkeypatch, head, n):
+    guard = 12 if len(head) < 3 else 8
+    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", str(guard))
+    s = DeltaQ(head, n)
+    last = guard // n
+    for t in range(last + 1):
+        assert counts(s, t) == walk_count(s, t), (s, t)
+    with pytest.raises(OracleGuardError):
+        count_points(s, last + 1)
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=3),
+            st.just(n),
+            st.integers(min_value=0, max_value=4),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_slice_counts_match_walk_on_random_q(case):
+    head, n, t = case
+    s = DeltaQ(tuple(head), n)
+    assert counts(s, t) == walk_count(s, t)
 
 
 def test_dilation_count_invariants():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ehrsign import polynomials
 from ehrsign.polynomials import (
     Poly,
     all_integer,
@@ -14,6 +15,7 @@ from ehrsign.polynomials import (
     poly_to_json,
     poly_to_text,
 )
+from ehrsign.signpattern import construct, parse_pattern
 
 
 def test_trailing_zeros_trimmed():
@@ -137,3 +139,26 @@ def test_decimal_str_ignores_the_int_str_limit():
         assert got == [str(x) for x in values]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_formatters_ignore_the_int_str_limit(monkeypatch):
+    # the d = 16 witness: Fraction coefficients whose numerators run to
+    # ~86,000 digits, far past the default limit of 4300
+    p = construct(parse_pattern("+-+-++++++++++")).ehrhart.poly
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        got = poly_to_text(p, var="t"), poly_to_json(p, var="t")
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(0)
+        # the reference: the same formatters on plain str()
+        monkeypatch.setattr(polynomials, "decimal_str", str)
+        expected = poly_to_text(p, var="t"), poly_to_json(p, var="t")
+        assert expected[1]["coeffs"] == [str(c) for c in p.coeffs]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+    assert max(len(c) for c in expected[1]["coeffs"]) > sys.int_info.default_max_str_digits
