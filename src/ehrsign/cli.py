@@ -2,34 +2,21 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 search exhaustion,
 64 usage error, 65 precondition error.  All numeric I/O is plain decimal.
+
+A one-shot call spends most of its time starting the interpreter and
+importing, so this module loads nothing at import time.  Each subcommand
+imports only the modules it runs, inside its body: `hstar` and `family`
+load delta and polynomials, `eulerian` and `sdm` add eulerian, `ehrhart`
+and `verify` add ehrhart (and oracle for `verify`), and only
+`sign-construct` loads signpattern.  The options come from one table per
+command, which drives both parsing and `--help`; no option-parsing library
+is imported.  A value option takes the next token verbatim, so values that
+start with a dash parse: `--q -3,-2`, `--pattern --+-`.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-
-import click
-
-from .delta import (
-    DeltaQ,
-    DivisibilityError,
-    FastPreconditionError,
-    hstar,
-    hstar_family,
-    l1_l2,
-)
-from .ehrhart import (
-    expr_ehrhart,
-    expr_from_json,
-    expr_to_json,
-    from_hstar,
-    sign_vector,
-)
-from .eulerian import eulerian_descent, eulerian_recurrence, sdm, sdm_ehrhart, sdm_hstar
-from .oracle import OracleGuardError, count_points
-from .polynomials import poly_to_json, poly_to_text
-from .signpattern import SearchExhausted, construct, format_pattern, parse_pattern
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -38,11 +25,159 @@ EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
 
+class CliError(Exception):
+    """Ends a call with exit `code` and the stderr line `label: message`."""
+
+    def __init__(self, code: int, label: str, message):
+        super().__init__(message)
+        self.code = code
+        self.label = label
+
+
+def _usage(message) -> CliError:
+    return CliError(EXIT_USAGE, "usage error", message)
+
+
+# --- option tables ------------------------------------------------------------
+
+
+class Option:
+    """One row of a command's option table.  `type` converts the value
+    (None marks a flag: it takes no value and is False unless given);
+    `choices`, when set, lists the values allowed; `help` is its line in
+    `--help`."""
+
+    __slots__ = ("type", "required", "choices", "default", "help")
+
+    def __init__(self, type, required=False, choices=(), default=None, help=""):
+        self.type = type
+        self.required = required
+        self.choices = choices
+        self.default = default
+        self.help = help
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
+def _nonnegative(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+# command name -> (function, its option table); an option `--max-base` is
+# the function's keyword argument `max_base`
+COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, **options: Option):
+    def register(fn):
+        COMMANDS[name] = (fn, options)
+        return fn
+
+    return register
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _parse(options: dict, args: list[str]) -> dict | None:
+    """A command's keyword arguments from its tokens, read by its option
+    table; None when `--help` is among them."""
+    dests = {_flag(dest): dest for dest in options}
+    given = {}
+    wants_help = False
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--help":
+            wants_help = True
+            continue
+        flag, eq, value = token.partition("=")
+        dest = dests.get(flag)
+        if dest is None:
+            if token.startswith("-"):
+                raise _usage(f"no such option {token!r}")
+            raise _usage(f"unexpected argument {token!r}")
+        if options[dest].type is None:
+            if eq:
+                raise _usage(f"option {flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _usage(f"option {flag} needs a value")
+        given[dest] = value
+    if wants_help:
+        return None
+    kwargs = {}
+    for dest, opt in options.items():
+        if dest not in given:
+            if opt.required:
+                raise _usage(f"missing option {_flag(dest)}")
+            kwargs[dest] = False if opt.type is None else opt.default
+            continue
+        value = given[dest]
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError as e:
+                raise _usage(f"invalid value for {_flag(dest)}: {e}") from None
+        if opt.choices and value not in opt.choices:
+            allowed = ", ".join(opt.choices)
+            raise _usage(f"invalid value for {_flag(dest)}: {value!r} is not one of {allowed}")
+        kwargs[dest] = value
+    return kwargs
+
+
+def _rows(rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{right}".rstrip() for left, right in rows)
+
+
+def _group_help() -> str:
+    rows = [(name, fn.__doc__.splitlines()[0]) for name, (fn, _) in COMMANDS.items()]
+    return (
+        "usage: ehrsign COMMAND [OPTIONS]\n\n"
+        "Exact h*, Ehrhart, and sign-pattern computations.\n\n"
+        f"commands:\n{_rows(rows)}\n\n"
+        "Run 'ehrsign COMMAND --help' for the options of one command."
+    )
+
+
+def _command_help(name: str) -> str:
+    fn, options = COMMANDS[name]
+    rows = []
+    for dest, opt in options.items():
+        left = _flag(dest)
+        if opt.choices:
+            left += f" [{'|'.join(opt.choices)}]"
+        elif opt.type is not None:
+            left += " TEXT" if opt.type is str else " INTEGER"
+        notes = [opt.help] if opt.help else []
+        if opt.required:
+            notes.append("[required]")
+        elif opt.default is not None:
+            notes.append(f"[default: {opt.default}]")
+        rows.append((left, "  ".join(notes)))
+    rows.append(("--help", "Show this message and exit."))
+    return f"usage: ehrsign {name} [OPTIONS]\n\n{fn.__doc__}\n\noptions:\n{_rows(rows)}"
+
+
+# --- shared steps ---------------------------------------------------------------
+
+
 def _parse_q(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"--q must be a comma-separated integer list, got {text!r}")
+        raise _usage(f"--q must be a comma-separated integer list, got {text!r}") from None
 
 
 def _domain(fn, *args):
@@ -52,180 +187,217 @@ def _domain(fn, *args):
     try:
         return fn(*args)
     except ValueError as e:
-        raise click.UsageError(str(e))
+        raise _usage(e) from None
 
 
-def _delta(q: str, n: int) -> DeltaQ:
+def _delta(q: str, n: int):
+    from .delta import DeltaQ
+
     return _domain(DeltaQ, _parse_q(q), n)
 
 
-def _print_poly(poly, var: str, as_json: bool):
-    if as_json:
-        click.echo(json.dumps(poly_to_json(poly, var=var)))
-    else:
-        click.echo(poly_to_text(poly, var=var))
+def _dumps(obj) -> str:
+    import json
+
+    return json.dumps(obj)
 
 
-@click.group()
-def cli():
-    """Exact h*, Ehrhart, and sign-pattern computations."""
+def _print_poly(poly, var: str, json: bool) -> None:
+    from .polynomials import poly_to_json, poly_to_text
+
+    print(_dumps(poly_to_json(poly, var=var)) if json else poly_to_text(poly, var=var))
 
 
-@cli.command("hstar")
-@click.option("--q", "q", required=True, help="comma-separated q_1,...,q_{d-1}")
-@click.option("--n", "n", required=True, type=int)
-@click.option(
-    "--method",
-    type=click.Choice(["auto", "fast", "naive"]),
-    default="auto",
-    show_default=True,
+# --- commands ---------------------------------------------------------------------
+
+_Q = Option(str, required=True, help="comma-separated q_1,...,q_{d-1}")
+_N = Option(_integer, required=True)
+_JSON = Option(None)
+
+
+@_command(
+    "hstar", q=_Q, n=_N, method=Option(str, choices=("auto", "fast", "naive"), default="auto"),
+    json=_JSON,
 )
-@click.option("--json", "as_json", is_flag=True)
-def cmd_hstar(q, n, method, as_json):
+def _hstar(q, n, method, json):
     """h*-polynomial of Delta(0,q)."""
-    s = _delta(q, n)
-    h = hstar(s, method=method)
-    _print_poly(h.poly, "x", as_json)
+    from .delta import hstar
+
+    _print_poly(hstar(_delta(q, n), method=method).poly, "x", json)
 
 
-@cli.command("family")
-@click.option("--q", "q", required=True)
-@click.option("--n", "n", required=True, type=int)
-@click.option("--m", "m", type=int, default=None, help="also print h* of Delta(0,q^(m))")
-@click.option("--json", "as_json", is_flag=True)
-def cmd_family(q, n, m, as_json):
+@_command(
+    "family", q=_Q, n=_N, m=Option(_integer, help="also print h* of Delta(0,q^(m))"), json=_JSON
+)
+def _family(q, n, m, json):
     """Characteristic polynomials L1, L2 of the family Delta(0,q^(m))."""
+    from .delta import hstar_family, l1_l2
+    from .polynomials import poly_to_json, poly_to_text
+
     s = _delta(q, n)
     l1, l2 = l1_l2(s)
     h_m = _domain(hstar_family, s, m).poly if m is not None else None
-    if as_json:
+    if json:
         out = {"L1": poly_to_json(l1, var="x"), "L2": poly_to_json(l2, var="x")}
         if m is not None:
             out["hstar_m"] = poly_to_json(h_m, var="x")
-        click.echo(json.dumps(out))
+        print(_dumps(out))
         return
-    click.echo(f"L1 = {poly_to_text(l1, var='x')}")
-    click.echo(f"L2 = {poly_to_text(l2, var='x')}")
+    print(f"L1 = {poly_to_text(l1, var='x')}")
+    print(f"L2 = {poly_to_text(l2, var='x')}")
     if m is not None:
-        click.echo(f"hstar(m={m}) = {poly_to_text(h_m, var='x')}")
+        print(f"hstar(m={m}) = {poly_to_text(h_m, var='x')}")
 
 
-@cli.command("eulerian")
-@click.option("--d", "d", required=True, type=int)
-@click.option(
-    "--method",
-    type=click.Choice(["recurrence", "descent"]),
-    default="recurrence",
-    show_default=True,
+@_command(
+    "eulerian", d=Option(_integer, required=True),
+    method=Option(str, choices=("recurrence", "descent"), default="recurrence"), json=_JSON,
 )
-@click.option("--json", "as_json", is_flag=True)
-def cmd_eulerian(d, method, as_json):
+def _eulerian(d, method, json):
     """Eulerian polynomial A_d(x)."""
+    from .eulerian import eulerian_descent, eulerian_recurrence
+
     method_fn = eulerian_recurrence if method == "recurrence" else eulerian_descent
-    poly = _domain(method_fn, d)
-    _print_poly(poly, "x", as_json)
+    _print_poly(_domain(method_fn, d), "x", json)
 
 
-@cli.command("sdm")
-@click.option("--d", "d", required=True, type=int)
-@click.option("--m", "m", required=True, type=int)
-@click.option(
-    "--what",
-    type=click.Choice(["vertices", "hstar", "ehrhart"]),
-    default="hstar",
-    show_default=True,
+@_command(
+    "sdm", d=Option(_integer, required=True), m=Option(_integer, required=True),
+    what=Option(str, choices=("vertices", "hstar", "ehrhart"), default="hstar"), json=_JSON,
 )
-@click.option("--json", "as_json", is_flag=True)
-def cmd_sdm(d, m, what, as_json):
+def _sdm(d, m, what, json):
     """The Eulerian simplex S_d(m)."""
+    from .eulerian import sdm, sdm_ehrhart, sdm_hstar
+
     if what == "vertices":
         verts = _domain(sdm, d, m).vertices()
-        if as_json:
-            click.echo(json.dumps([list(v) for v in verts]))
+        if json:
+            print(_dumps([list(v) for v in verts]))
         else:
             for v in verts:
-                click.echo(" ".join(str(x) for x in v))
+                print(" ".join(str(x) for x in v))
     elif what == "hstar":
-        _print_poly(_domain(sdm_hstar, d, m).poly, "x", as_json)
+        _print_poly(_domain(sdm_hstar, d, m).poly, "x", json)
     else:
-        _print_poly(_domain(sdm_ehrhart, d, m), "t", as_json)
+        _print_poly(_domain(sdm_ehrhart, d, m), "t", json)
 
 
-@cli.command("ehrhart")
-@click.option("--q", "q", default=None)
-@click.option("--n", "n", type=int, default=None)
-@click.option("--expr", "expr_json", default=None, help="PolytopeExpr JSON string")
-@click.option("--json", "as_json", is_flag=True)
-def cmd_ehrhart(q, n, expr_json, as_json):
+@_command(
+    "ehrhart", q=Option(str), n=Option(_integer),
+    expr=Option(str, help="PolytopeExpr JSON string"), json=_JSON,
+)
+def _ehrhart(q, n, expr, json):
     """Ehrhart polynomial of Delta(0,q) (via --q/--n) or a PolytopeExpr."""
-    if expr_json is not None:
+    if expr is not None:
         if q is not None or n is not None:
-            raise click.UsageError("--expr excludes --q/--n")
+            raise _usage("--expr excludes --q/--n")
+        from json import JSONDecodeError, loads
+
+        from .ehrhart import expr_ehrhart, expr_from_json
+
         try:
-            expr = expr_from_json(json.loads(expr_json))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
-            raise click.UsageError(f"bad --expr: {e}")
-        ehr = expr_ehrhart(expr)
+            polytope = expr_from_json(loads(expr))
+        except (ValueError, KeyError, TypeError, JSONDecodeError) as e:
+            raise _usage(f"bad --expr: {e}") from None
+        ehr = expr_ehrhart(polytope)
     elif q is not None and n is not None:
+        from .delta import hstar
+        from .ehrhart import from_hstar
+
         s = _delta(q, n)
         ehr = from_hstar(hstar(s), s.d)
     else:
-        raise click.UsageError("need --expr or both --q and --n")
-    _print_poly(ehr.poly, "t", as_json)
+        raise _usage("need --expr or both --q and --n")
+    _print_poly(ehr.poly, "t", json)
 
 
-@cli.command("sign-construct")
-@click.option("--pattern", "pattern_text", required=True)
-@click.option("--max-base", type=int, default=64, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-def cmd_sign_construct(pattern_text, max_base, as_json):
-    """Build a verified polytope realizing a +/- middle-coefficient pattern."""
-    try:
-        pattern = parse_pattern(pattern_text)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    result = construct(pattern, max_b=max_base)
-    sv = sign_vector(result.ehrhart)
-    if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "pattern": pattern_text,
-                    "expr": expr_to_json(result.expr),
-                    "ehrhart": poly_to_json(result.ehrhart.poly, var="t"),
-                    "sign_vector": list(sv),
-                    "trace": list(result.trace),
-                }
-            )
-        )
-        return
-    click.echo(f"pattern = {pattern_text}")
-    click.echo(f"expr = {json.dumps(expr_to_json(result.expr))}")
-    click.echo(f"ehrhart = {poly_to_text(result.ehrhart.poly, var='t')}")
-    click.echo(f"sign vector = {format_pattern(sv)}")
-    click.echo(f"trace = {' -> '.join(result.trace)}")
-
-
-@cli.command("verify")
-@click.option("--q", "q", required=True)
-@click.option("--n", "n", required=True, type=int)
-@click.option(
-    "--tmax", type=click.IntRange(min=0), default=None, help="defaults to d+2"
+@_command(
+    "sign-construct", pattern=Option(str, required=True), max_base=Option(_integer, default=64),
+    json=_JSON,
 )
-def cmd_verify(q, n, tmax):
+def _sign_construct(pattern, max_base, json):
+    """Build a verified polytope realizing a +/- middle-coefficient pattern."""
+    from .ehrhart import expr_to_json, sign_vector
+    from .polynomials import poly_to_json, poly_to_text
+    from .signpattern import SearchExhausted, construct, format_pattern, parse_pattern
+
+    try:
+        signs = parse_pattern(pattern)
+    except ValueError as e:
+        raise _usage(e) from None
+    try:
+        result = construct(signs, max_b=max_base)
+    except SearchExhausted as e:
+        raise CliError(EXIT_EXHAUSTED, "search exhausted", e) from None
+    sv = sign_vector(result.ehrhart)
+    if json:
+        out = {
+            "pattern": pattern,
+            "expr": expr_to_json(result.expr),
+            "ehrhart": poly_to_json(result.ehrhart.poly, var="t"),
+            "sign_vector": list(sv),
+            "trace": list(result.trace),
+        }
+        print(_dumps(out))
+        return
+    print(f"pattern = {pattern}")
+    print(f"expr = {_dumps(expr_to_json(result.expr))}")
+    print(f"ehrhart = {poly_to_text(result.ehrhart.poly, var='t')}")
+    print(f"sign vector = {format_pattern(sv)}")
+    print(f"trace = {' -> '.join(result.trace)}")
+
+
+@_command("verify", q=_Q, n=_N, tmax=Option(_nonnegative, help="at least 0; defaults to d+2"))
+def _verify(q, n, tmax):
     """Compare oracle lattice counts against the closed-form Ehrhart polynomial."""
+    from .delta import hstar
+    from .ehrhart import from_hstar
+    from .oracle import OracleGuardError, count_points
+
     s = _delta(q, n)
     ehr = from_hstar(hstar(s), s.d)
     tmax = tmax if tmax is not None else s.d + 2
     ok = True
     for t in range(tmax + 1):
-        counted = count_points(s, t).count
+        try:
+            counted = count_points(s, t).count
+        except OracleGuardError as e:
+            raise CliError(EXIT_PRECONDITION, "precondition error", e) from None
         predicted = ehr.eval(t)
         status = "ok" if counted == predicted else "MISMATCH"
-        click.echo(f"t={t}: oracle={counted} closed-form={predicted} {status}")
+        print(f"t={t}: oracle={counted} closed-form={predicted} {status}")
         ok = ok and counted == predicted
-    if not ok:
-        sys.exit(EXIT_MISMATCH)
+    return EXIT_OK if ok else EXIT_MISMATCH
+
+
+# --- entry point --------------------------------------------------------------------
+
+
+def _run(argv: list[str]) -> int:
+    if not argv:
+        raise _usage("no command given; 'ehrsign --help' lists the commands")
+    name, args = argv[0], argv[1:]
+    if name == "--help":
+        print(_group_help())
+        return EXIT_OK
+    if name not in COMMANDS:
+        what = "option" if name.startswith("-") else "command"
+        raise _usage(f"no such {what} {name!r}")
+    fn, options = COMMANDS[name]
+    kwargs = _parse(options, args)
+    if kwargs is None:
+        print(_command_help(name))
+        return EXIT_OK
+    return fn(**kwargs) or EXIT_OK
+
+
+def _precondition_errors() -> tuple:
+    """delta's precondition errors, which any command can raise.  An except
+    clause reads this only once an exception is on its way out, so usage
+    errors and `--help` do not import delta."""
+    from .delta import DivisibilityError, FastPreconditionError
+
+    return FastPreconditionError, DivisibilityError
 
 
 def main(argv=None) -> int:
@@ -236,22 +408,13 @@ def main(argv=None) -> int:
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except click.UsageError as e:
-        click.echo(f"usage error: {e.format_message()}", err=True)
-        return EXIT_USAGE
-    except (FastPreconditionError, DivisibilityError, OracleGuardError) as e:
-        click.echo(f"precondition error: {e}", err=True)
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    except CliError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.code
+    except _precondition_errors() as e:
+        print(f"precondition error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except SearchExhausted as e:
-        click.echo(f"search exhausted: {e}", err=True)
-        return EXIT_EXHAUSTED
-    except SystemExit as e:
-        return int(e.code or 0)
-    except click.ClickException as e:
-        e.show()
-        return EXIT_USAGE
     finally:
         if lift:
             sys.set_int_max_str_digits(old_limit)

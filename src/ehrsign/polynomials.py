@@ -218,16 +218,33 @@ def poly_to_json(p: Poly, var: str = "x") -> dict:
     return {"var": var, "coeffs": [_coeff_str(c) for c in p.coeffs]}
 
 
+def parse_decimal(s: str) -> int:
+    """int(s) for a decimal string of any length, the inverse of
+    `decimal_str`, likewise independent of the int-to-str limit: a string
+    of more than 600 characters is split into two halves of digits, each
+    parsed on its own and joined by a power of ten."""
+    if len(s) <= 600:
+        return int(s)
+    negative = s[0] == "-"
+    digits = s[1:] if negative else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {s[:20]!r}... ({len(s)} characters)")
+    k = len(digits) // 2
+    value = parse_decimal(digits[:-k]) * 10**k + parse_decimal(digits[-k:])
+    return -value if negative else value
+
+
+def _parse_coeff(s: str) -> Coeff:
+    """The inverse of `_coeff_str`: an int or a "p/q" Fraction."""
+    if len(s) <= 600:
+        return Fraction(s) if "/" in s else int(s)
+    num, slash, den = s.partition("/")
+    return Fraction(parse_decimal(num), parse_decimal(den)) if slash else parse_decimal(s)
+
+
 def poly_from_json(obj: dict) -> Poly:
-    coeffs: list[Coeff] = []
-    for s in obj["coeffs"]:
-        if isinstance(s, int):
-            coeffs.append(s)
-        elif "/" in s:
-            coeffs.append(Fraction(s))
-        else:
-            coeffs.append(int(s))
-    return Poly(coeffs)
+    """The inverse of `poly_to_json`, at any int-to-str limit."""
+    return Poly(s if isinstance(s, int) else _parse_coeff(s) for s in obj["coeffs"])
 
 
 def all_integer(p: Poly) -> bool:

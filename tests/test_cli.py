@@ -68,6 +68,17 @@ def test_usage_errors(capsys):
         ("family", "--q", "1,-2", "--n", "2", "--m", "0"),
         ("eulerian", "--d", "12", "--method", "descent"),
         ("verify", "--q", "1,1", "--n", "13", "--tmax", "-3"),
+        # argument errors of the option parser
+        ("hstar", "--q", "1,1", "--n", "x"),
+        ("hstar", "--q", "1,1", "--n", "5", "--method", "bogus"),
+        ("hstar", "--q", "1,1", "--n", "5", "--bogus", "1"),
+        ("hstar", "--q", "1,1", "--n", "5", "stray"),
+        ("hstar", "--q", "1,1", "--n", "5", "--json=yes"),
+        ("definitely-not-a-command",),
+        ("--bogus",),
+        ("hstar", "--n", "5"),
+        (),
+        ("hstar", "--q", "1,1", "--n"),
     ],
 )
 def test_domain_errors_are_usage_errors(capsys, argv):
@@ -84,6 +95,50 @@ def test_bad_oracle_guard_env_is_precondition_error(capsys, monkeypatch, value):
     assert code == 65
     assert "EHRHART_MAX_ORACLE_POINTS" in err and "non-negative integer" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("hstar", "--q", "-3,-2", "--n", "6"), "1 + 4*x + x^2"),
+        (("hstar", "--q=-3,-2", "--n=6"), "1 + 4*x + x^2"),
+        (("hstar", "--n", "6", "--q", "-3,-2", "--method", "naive"), "1 + 4*x + x^2"),
+        (("sign-construct", "--pattern", "--+-"), "sign vector = --+-"),
+        (("sign-construct", "--pattern", "-"), "sign vector = -"),
+    ],
+)
+def test_values_may_start_with_a_dash(capsys, argv, expected):
+    # a value option takes the next token verbatim, whatever it starts with
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert expected in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("--help",), "sign-construct"),
+        (("hstar", "--help"), "--method [auto|fast|naive]"),
+        (("hstar", "--n", "x", "--help"), "--n INTEGER"),
+        (("verify", "--help"), "--tmax INTEGER"),
+    ],
+)
+def test_help_exits_zero(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: ehrsign") and shown in out
+
+
+def test_exports_resolve_to_their_defining_modules():
+    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 59
+    for name in ehrsign.__all__:
+        obj = getattr(ehrsign, name)
+        assert obj.__module__.startswith("ehrsign.")
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(ehrsign.__all__) <= set(dir(ehrsign))
+    assert ehrsign.signpattern is sys.modules["ehrsign.signpattern"]
+    with pytest.raises(AttributeError):
+        ehrsign.no_such_name
 
 
 def test_fast_precondition_exit_code(capsys):
@@ -198,7 +253,7 @@ def test_sign_construct_exhaustion_exit_code(capsys, monkeypatch):
     def boom(pattern, max_b=64):
         raise SearchExhausted("case6", (1,))
 
-    monkeypatch.setattr(cli, "construct", boom)
+    monkeypatch.setattr("ehrsign.signpattern.construct", boom)
     code, _, err = run(capsys, "sign-construct", "--pattern", "+")
     assert code == 2
     assert "exhausted" in err
@@ -221,10 +276,23 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     def wrong_counts(s, t, **kwargs):
         return DilationCount(t, 10**6 + t, 0)
 
-    monkeypatch.setattr(cli, "count_points", wrong_counts)
+    monkeypatch.setattr("ehrsign.oracle.count_points", wrong_counts)
     code, out, _ = run(capsys, "verify", "--q", "1,1", "--n", "2")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    # the child imports the same ehrsign tree as this process
+    src = str(Path(ehrsign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 # Run in a fresh interpreter: other tests in this process have imported numpy.
@@ -266,14 +334,34 @@ assert "numpy" in sys.modules
     ],
 )
 def test_numpy_is_loaded_only_by_the_guarded_summations(summation):
-    # the child imports the same ehrsign tree as this process
-    src = str(Path(ehrsign.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_STAYS_UNLOADED.format(summation=summation)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_fresh(NUMPY_STAYS_UNLOADED.format(summation=summation))
+    assert proc.returncode == 0, proc.stderr
+
+
+# What a one-shot call leaves in sys.modules, in a fresh interpreter.
+IMPORT_FOOTPRINT = """
+import sys
+import ehrsign
+assert not [m for m in sys.modules if m.startswith("ehrsign.")], sorted(sys.modules)
+from ehrsign import cli
+loaded = {{m for m in sys.modules if m == "click" or m.startswith("ehrsign.")}}
+assert loaded == {{"ehrsign.cli"}}, loaded
+assert cli.main({argv!r}) == 0
+loaded = {{m for m in sys.modules if m.startswith("ehrsign.")}}
+assert not loaded & {absent!r}, loaded
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            ["hstar", "--q", "1,-2", "--n", "9"],
+            {"ehrsign.signpattern", "ehrsign.oracle", "ehrsign.ehrhart"},
+        ),
+        (["verify", "--q", "1,1", "--n", "13"], {"ehrsign.signpattern"}),
+    ],
+)
+def test_a_call_imports_only_what_its_command_runs(argv, absent):
+    proc = run_fresh(IMPORT_FOOTPRINT.format(argv=argv, absent=absent))
     assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from ehrsign.polynomials import (
     all_integer,
     binom_poly,
     decimal_str,
+    parse_decimal,
     poly_from_json,
     poly_to_json,
     poly_to_text,
@@ -162,3 +163,38 @@ def test_formatters_ignore_the_int_str_limit(monkeypatch):
         sys.set_int_max_str_digits(limit)
     assert got == expected
     assert max(len(c) for c in expected[1]["coeffs"]) > sys.int_info.default_max_str_digits
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_parse_decimal_inverts_decimal_str():
+    rng = random.Random(7)
+    values = [0, 7, -7, 10**600, 10**601, -(10**601) + 1, 2**2000, -(2**2001), 3**40000]
+    values += [rng.getrandbits(rng.randint(1, 80000)) * rng.choice((1, -1)) for _ in range(20)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+        assert [parse_decimal(decimal_str(x)) for x in values] == values
+        for bad in ("1" * 700 + "x", "--" + "1" * 700, "1_" * 400, "-" * 700):
+            with pytest.raises(ValueError):
+                parse_decimal(bad)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_poly_json_round_trip_at_default_int_str_limit():
+    # the Ehrhart polynomial of +-+-+++++++ has a 4,703-digit coefficient
+    p = construct(parse_pattern("+-+-+++++++")).ehrhart.poly
+    p = p + Poly((-(10**5000) - 1, Fraction(10**4400 + 1, 3 * 10**4500 + 7)))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        obj = poly_to_json(p, var="t")
+        assert max(len(c) for c in obj["coeffs"]) > sys.int_info.default_max_str_digits
+        assert poly_from_json(obj) == p
+    finally:
+        sys.set_int_max_str_digits(limit)
