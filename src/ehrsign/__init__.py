@@ -26,7 +26,6 @@ _EXPORTS = {
         "hstar_fast",
         "hstar_naive",
         "l1_l2",
-        "special_family",
     ),
     "eulerian": (
         "SdmSimplex",

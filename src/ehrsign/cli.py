@@ -71,8 +71,8 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-# command name -> (function, its option table); an option `--max-base` is
-# the function's keyword argument `max_base`
+# command name -> (function, its option table); an option `--q` is the
+# function's keyword argument `q`
 COMMANDS: dict[str, tuple] = {}
 
 
@@ -311,11 +311,8 @@ def _ehrhart(q, n, expr, json):
     _print_poly(ehr.poly, "t", json)
 
 
-@_command(
-    "sign-construct", pattern=Option(str, required=True), max_base=Option(_integer, default=64),
-    json=_JSON,
-)
-def _sign_construct(pattern, max_base, json):
+@_command("sign-construct", pattern=Option(str, required=True), json=_JSON)
+def _sign_construct(pattern, json):
     """Build a verified polytope realizing a +/- middle-coefficient pattern."""
     from .ehrhart import expr_to_json, sign_vector
     from .polynomials import poly_to_json, poly_to_text
@@ -326,7 +323,7 @@ def _sign_construct(pattern, max_base, json):
     except ValueError as e:
         raise _usage(e) from None
     try:
-        result = construct(signs, max_b=max_base)
+        result = construct(signs)
     except SearchExhausted as e:
         raise CliError(EXIT_EXHAUSTED, "search exhausted", e) from None
     sv = sign_vector(result.ehrhart)

@@ -325,18 +325,15 @@ def _l_poly_naive(s: DeltaQ) -> Poly:
     return Poly(counts)
 
 
-def l1_l2(s: DeltaQ, method: Method = "auto") -> tuple[Poly, Poly]:
+def l1_l2(s: DeltaQ) -> tuple[Poly, Poly]:
     """Characteristic polynomials: h* of the family member with n -> m*n
     equals m*x*L1(x) + L2(x).  Requires q_i | n for all i (q_i != 0).
 
     Being affine in m, L = x*L1 is h* of the m = 2 member minus h* of the
-    m = 1 member; method="naive" takes L from the A(j) sum instead."""
+    m = 1 member; _l_poly_naive, the A(j) sum, is the tests' reference."""
     _check_divisibility(s)
     h = hstar(s).poly
-    if method == "naive":
-        l = _l_poly_naive(s)
-    else:
-        l = hstar(DeltaQ(s.q_head, 2 * s.n)).poly - h
+    l = hstar(DeltaQ(s.q_head, 2 * s.n)).poly - h
     return Poly(l.coeffs[1:]), h - l
 
 
@@ -408,17 +405,3 @@ def pow2(d: int, m: int) -> tuple[DeltaQ, HStar]:
     h = Poly((1, m - 1)) * Poly((1, 1)) ** (d - 1)
     return dq, HStar(h, d)
 
-
-SPECIAL_FAMILIES = {
-    "r_odd": r_odd,
-    "r_even": r_even,
-    "extended_reeve": extended_reeve,
-    "all_minus_ones": all_minus_ones,
-    "pow2": pow2,
-}
-
-
-def special_family(kind: str, **params) -> tuple[DeltaQ, HStar]:
-    if kind not in SPECIAL_FAMILIES:
-        raise ValueError(f"unknown special family {kind!r}")
-    return SPECIAL_FAMILIES[kind](**params)

@@ -12,18 +12,17 @@ the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).  Those
 polynomials are integer numerators over one denominator (EhrhartPoly), so
 every threshold and sign check is integer arithmetic: two coefficients of
 one polynomial share its denominator.  Only the hard shape searches: over
-the base b up to max_b, halving epsilon once as its fallback.
+the base b = 2..DEFAULT_MAX_BASE.  The recursion bottoms out in six d = 3/4
+witnesses, an inline table that generate_base_catalog re-derives.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .ehrhart import (
     Block,
@@ -37,13 +36,14 @@ from .ehrhart import (
     ehr_dilate,
     ehr_product,
     expr_ehrhart,
-    expr_from_json,
-    expr_to_json,
     sign_vector,
     _sgn,
 )
 from .polynomials import Poly, decimal_str
 
+# Bounds the Case-6 base search, far above what it needs: every block list
+# with block sum <= 20 certifies at b <= 10, those of the patterns of length
+# <= 14 at b <= 5.
 DEFAULT_MAX_BASE = 64
 
 Pattern = tuple[int, ...]
@@ -294,26 +294,19 @@ def verify_expr(e: PolytopeExpr, p: Pattern) -> bool:
     return sign_vector(expr_ehrhart(e)) == p
 
 
-def construct_case6(
-    d_list, max_b: int = DEFAULT_MAX_BASE
-) -> tuple[PolytopeExpr, EhrhartPoly, int]:
-    """Search b = 2, 3, ... for an exact instantiation realizing the target
-    pattern; if max_b is exhausted, halve epsilon once and retry."""
+def construct_case6(d_list) -> tuple[PolytopeExpr, EhrhartPoly, int]:
+    """Search b = 2..DEFAULT_MAX_BASE for an exact instantiation realizing
+    the target pattern."""
     d_list = tuple(d_list)
     target = target_pattern(d_list)
-    last_sv = None
-    for eps_scale in (1, 2):
-        params = greedy_params(d_list)
-        if eps_scale == 2:
-            params = greedy_params(d_list, params.epsilon / 2)
-        for b in range(2, max_b + 1):
-            expr = instantiate(d_list, params, b)
-            ehr = expr_ehrhart(expr)
-            sv = sign_vector(ehr)
-            last_sv = sv
-            if sv == target:
-                return expr, ehr, b
-    raise SearchExhausted("case6", target, last_sv)
+    params = greedy_params(d_list)
+    for b in range(2, DEFAULT_MAX_BASE + 1):
+        expr = instantiate(d_list, params, b)
+        ehr = expr_ehrhart(expr)
+        sv = sign_vector(ehr)
+        if sv == target:
+            return expr, ehr, b
+    raise SearchExhausted("case6", target, sv)
 
 
 # --- the recursive Case 1-6 constructor --------------------------------------
@@ -328,20 +321,16 @@ class ConstructResult:
 
 _DIM2_BLOCK = EulerianS(2, 1)
 
-
-def _load_catalog() -> dict:
-    text = resources.files("ehrsign").joinpath("data/base_catalog.json").read_text()
-    raw = json.loads(text)
-    return {
-        pat: expr_from_json(expr)
-        for dim_entry in raw.values()
-        for pat, expr in dim_entry.items()
-    }
-
-
-@lru_cache(maxsize=1)
-def _catalog() -> dict:
-    return _load_catalog()
+# The d = 3 and d = 4 witnesses, pattern -> expr, as generate_base_catalog
+# finds them.
+_CATALOG = {
+    "+": PolytopeExpr(((1, ReeveT(1)),)),
+    "-": PolytopeExpr(((1, ReeveT(13)),)),
+    "++": PolytopeExpr(((1, Interval(1)), (1, ReeveT(1)))),
+    "+-": PolytopeExpr(((1, Interval(1)), (2, ReeveT(18)))),
+    "-+": PolytopeExpr(((1, Interval(2)), (1, ReeveT(18)))),
+    "--": PolytopeExpr(((1, Interval(1)), (1, ReeveT(19)))),
+}
 
 
 def _floor_ratio(num: int, den: int) -> int:
@@ -370,10 +359,9 @@ def _product_threshold(p1, d1: int, p2, pattern: Pattern, d: int) -> int | None:
     return r0
 
 
-def construct(pattern, max_b: int = DEFAULT_MAX_BASE) -> ConstructResult:
+def construct(pattern) -> ConstructResult:
     """Resolve any +/- pattern (length d-2 >= 1) to a verified witness."""
-    pattern = validate_pattern(pattern)
-    return _construct(pattern, max_b)
+    return _construct(validate_pattern(pattern))
 
 
 def _certify(
@@ -433,7 +421,7 @@ def _solve_size(qr: Poly, make_block, pattern: Pattern, d: int, case: str) -> in
 
 
 @lru_cache(maxsize=None)
-def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
+def _construct(pattern: Pattern) -> ConstructResult:
     d = len(pattern) + 2
 
     if len(pattern) == 0:
@@ -441,7 +429,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
         return ConstructResult(expr, block_ehrhart(_DIM2_BLOCK), ("base-dim2",))
 
     if d in (3, 4):
-        expr = _catalog()[format_pattern(pattern)]
+        expr = _CATALOG[format_pattern(pattern)]
         return _certify(expr, expr_ehrhart(expr), pattern, f"catalog-d{d}")
 
     # Step parameters can pass the int-to-str limit (a Case-1 r has over
@@ -451,7 +439,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # coefficients are r^j c_j + r^{j-1} c_{j-1}, so any r beyond the largest
     # |c_{j-1}/c_j| ratio keeps every middle sign equal to sgn(c_j).
     if pattern[0] == 1:
-        sub = _construct(pattern[1:], max_b)
+        sub = _construct(pattern[1:])
         c = sub.ehrhart.num
         r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
         qr = ehr_dilate(sub.ehrhart, r)
@@ -460,7 +448,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # Case 2: bottom middle coefficient positive -> Q x [0,m]; coefficients
     # are linear in m, so solve for the smallest m directly.
     if pattern[-1] == 1:
-        sub = _construct(pattern[:-1], max_b)
+        sub = _construct(pattern[:-1])
         m = _solve_size(sub.ehrhart.num, Interval, pattern, d, "case2")
         return _extend(sub, 1, sub.ehrhart, Interval(m), pattern, f"case2[m={decimal_str(m)}]")
 
@@ -469,7 +457,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # with u_j = r^j c_j the m-coefficient is (u_{j-3} - u_{j-1})/6, dominated
     # by -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
     if pattern[0] == -1 and pattern[1] == -1 and pattern[-1] == -1:
-        sub = _construct(tuple(-s for s in pattern[2:-1]), max_b)
+        sub = _construct(tuple(-s for s in pattern[2:-1]))
         c = sub.ehrhart.num
         r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
         qr = ehr_dilate(sub.ehrhart, r)
@@ -482,7 +470,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
     # depend on a; r must make it negative (c_1 < 0 by the guard); the rest is
     # linear in a.
     if pattern[-1] == -1 and pattern[-2] == 1 and pattern[-3] == -1:
-        sub = _construct(pattern[:-2], max_b)
+        sub = _construct(pattern[:-2])
         c = sub.ehrhart.num
         if not c[1] < 0:
             raise SearchExhausted("case4", pattern)
@@ -502,8 +490,8 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
             for case, k in (("case5.1", d1), ("case5.2", d2)):
                 if pattern[d - 2 - k] != 1 or pattern[d - 1 - k] != 1:
                     continue
-                top = _construct(pattern[d - k :], max_b)  # dims k, dilated
-                low = _construct(pattern[: d - k - 2], max_b)  # dims d - k
+                top = _construct(pattern[d - k :])  # dims k, dilated
+                low = _construct(pattern[: d - k - 2])  # dims d - k
                 r = _product_threshold(
                     top.ehrhart.num, k, low.ehrhart.num, pattern, d
                 )
@@ -524,7 +512,7 @@ def _construct(pattern: Pattern, max_b: int) -> ConstructResult:
             f"internal error: no case applies to {format_pattern(pattern)} "
             "(cases 1-6 should be exhaustive)"
         )
-    expr, ehr, b = construct_case6(d_list, max_b)
+    expr, ehr, b = construct_case6(d_list)
     return ConstructResult(expr, ehr, (f"case6[d_list={d_list},b={b}]",))
 
 
@@ -536,13 +524,13 @@ _CATALOG_M_GRID = [1, 2, 6, 13, 18, 19, 20, 40, 100, 120, 200]
 
 def generate_base_catalog() -> dict:
     """Recompute the d=3 and d=4 witnesses (deterministic bounded search);
-    returns the JSON-ready structure of the checked-in data file."""
-    out: dict = {"3": {}, "4": {}}
+    returns the pattern -> expr table that _CATALOG holds."""
+    out: dict = {}
     for pat, m in (("+", 1), ("-", 13)):
         expr = PolytopeExpr(((1, ReeveT(m)),))
         if not verify_expr(expr, parse_pattern(pat)):
             raise AssertionError(f"d=3 witness for {pat} failed")
-        out["3"][pat] = expr_to_json(expr)
+        out[pat] = expr
 
     wanted = {pat: parse_pattern(pat) for pat in ("++", "+-", "-+", "--")}
     found: dict = {}
@@ -555,9 +543,8 @@ def generate_base_catalog() -> dict:
                     sv = sign_vector(ehr)
                     for pat, target in wanted.items():
                         if pat not in found and sv == target:
-                            found[pat] = expr_to_json(expr)
+                            found[pat] = expr
                     if len(found) == len(wanted):
-                        out["4"] = {p: found[p] for p in wanted}
-                        return out
+                        return out | {p: found[p] for p in wanted}
     missing = set(wanted) - set(found)
     raise AssertionError(f"d=4 catalog search failed for {missing}")

@@ -79,6 +79,7 @@ def test_usage_errors(capsys):
         ("hstar", "--n", "5"),
         (),
         ("hstar", "--q", "1,1", "--n"),
+        ("sign-construct", "--pattern", "+", "--max-base", "5"),
     ],
 )
 def test_domain_errors_are_usage_errors(capsys, argv):
@@ -130,7 +131,7 @@ def test_help_exits_zero(capsys, argv, shown):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 59
+    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 58
     for name in ehrsign.__all__:
         obj = getattr(ehrsign, name)
         assert obj.__module__.startswith("ehrsign.")
@@ -250,7 +251,7 @@ def test_sign_construct_bad_pattern(capsys):
 def test_sign_construct_exhaustion_exit_code(capsys, monkeypatch):
     from ehrsign.signpattern import SearchExhausted
 
-    def boom(pattern, max_b=64):
+    def boom(pattern):
         raise SearchExhausted("case6", (1,))
 
     monkeypatch.setattr("ehrsign.signpattern.construct", boom)

@@ -30,7 +30,6 @@ from ehrsign.delta import (
     pow2,
     r_even,
     r_odd,
-    special_family,
 )
 from ehrsign.delta import (
     _INT64_SAFE,
@@ -322,9 +321,15 @@ def test_l1_nonunimodal_instance():
     assert l1 == Poly((0, 0, 159, 102, 159))
 
 
+def _l1_l2_from_a_sum(s):
+    # the reference: x*L1 as the A(j) sum, L2 = h* - x*L1
+    l = delta._l_poly_naive(s)
+    return Poly(l.coeffs[1:]), hstar_naive(s).poly - l
+
+
 def test_l1_l2_methods_agree():
     for s in (DeltaQ((-3, -2), 6), DeltaQ((1, 2, 3, 3, 4, -5), 420)):
-        assert l1_l2(s, method="naive") == l1_l2(s, method="auto")
+        assert l1_l2(s) == _l1_l2_from_a_sum(s)
 
 
 def test_divisibility_error():
@@ -359,7 +364,7 @@ def test_l1_l2_properties_random():
     for _ in range(60):
         s = _random_divisible_instance(rng)
         l1, l2 = l1_l2(s)
-        assert l1_l2(s, method="naive") == (l1, l2)
+        assert _l1_l2_from_a_sum(s) == (l1, l2)
         # palindromic over degrees 0..d-1
         assert all(l1[i] == l1[s.d - 1 - i] for i in range(s.d))
         assert l1.eval(1) == s.n
@@ -395,9 +400,3 @@ def test_extended_reeve_is_reeve_at_d3():
     assert dq.q_head == (1, 12)
     assert closed.poly == Poly((1, 0, 12))
 
-
-def test_special_family_registry():
-    dq, closed = special_family("pow2", d=5, m=2)
-    assert hstar_naive(dq) == closed
-    with pytest.raises(ValueError):
-        special_family("nope")

@@ -242,9 +242,8 @@ def test_construct_case5_orientations(fresh_memo):
 
 
 def test_wrong_catalog_witness_exhausts_search(fresh_memo, monkeypatch, capsys):
-    catalog = dict(signpattern._catalog())
-    catalog["-"] = PolytopeExpr(((1, ReeveT(1)),))  # realizes "+", not "-"
-    monkeypatch.setattr(signpattern, "_catalog", lambda: catalog)
+    # ReeveT(1) realizes "+", not "-"
+    monkeypatch.setitem(signpattern._CATALOG, "-", PolytopeExpr(((1, ReeveT(1)),)))
     with pytest.raises(SearchExhausted) as info:
         construct((-1,))
     assert info.value.case == "catalog-d3"
@@ -276,21 +275,25 @@ def test_search_exhausted_carries_context():
     assert "-+-" in str(err)
 
 
-def test_generate_base_catalog_matches_checked_in_file():
-    from importlib import resources
-
-    text = resources.files("ehrsign").joinpath("data/base_catalog.json").read_text()
-    assert generate_base_catalog() == json.loads(text)
+def test_generate_base_catalog_matches_inline_table():
+    assert generate_base_catalog() == signpattern._CATALOG
 
 
 def test_catalog_witnesses_verify():
-    cat = generate_base_catalog()
-    for dim_entry in cat.values():
-        for pat_text, expr_json in dim_entry.items():
-            from ehrsign.ehrhart import expr_from_json
+    for pat_text, expr in signpattern._CATALOG.items():
+        assert verify_expr(expr, parse_pattern(pat_text)), pat_text
 
-            expr = expr_from_json(expr_json)
-            assert verify_expr(expr, parse_pattern(pat_text)), pat_text
+
+def test_case6_bases_stay_far_below_the_cap():
+    # the measurement behind a fixed DEFAULT_MAX_BASE and no fallback search:
+    # 986 block lists, none needs b > 5 today
+    bases = [
+        construct_case6(d_list)[2]
+        for total in range(2, 16)
+        for d_list in compositions(total)
+    ]
+    assert len(bases) == 986
+    assert max(bases) <= 8 < signpattern.DEFAULT_MAX_BASE
 
 
 def test_expr_json_emitted_by_construct_round_trips():

@@ -82,7 +82,7 @@ def _outcome(fn, *args):
 def _sub(pattern):
     """The Fraction polynomial of the memoized sub-witness for pattern, the
     empty (dimension 2) pattern included."""
-    return signpattern._construct(tuple(pattern), signpattern.DEFAULT_MAX_BASE).ehrhart.poly
+    return signpattern._construct(tuple(pattern)).ehrhart.poly
 
 
 def _params(step):
