@@ -31,7 +31,6 @@ class OracleGuardError(ValueError):
 
 
 DEFAULT_MAX_POINTS = 10_000
-DEFAULT_MAX_DIM = 4
 
 
 def _max_points() -> int:
@@ -75,10 +74,6 @@ def count_points(s: DeltaQ, t: int) -> DilationCount:
         raise OracleGuardError(
             f"n*t = {s.n * t} exceeds the oracle guard {limit} "
             "(set EHRHART_MAX_ORACLE_POINTS to override)"
-        )
-    if s.d > DEFAULT_MAX_DIM:
-        raise OracleGuardError(
-            f"d = {s.d} exceeds the oracle dimension guard {DEFAULT_MAX_DIM}"
         )
     if t == 0:
         return DilationCount(0, 1, 0)

@@ -4,13 +4,13 @@ coefficients carry any prescribed +/- pattern.
 The hard shape (leading -1 followed by blocks of +1, -1, ..., -1) is served
 by a product of dilated Eulerian simplices and a dilated Reeve tetrahedron,
 with exponents synthesized greedily from exact rational parameters; the
-remaining shapes reduce recursively (products with intervals, the Reeve
-tetrahedron, or a sheared quadrilateral).  Each recursive step computes a
-proven bound for its parameter and certifies the witness by the exact sign
-vector of the product of its sub-witness's Ehrhart polynomial (dilated) and
-the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).  Those
-polynomials are integer numerators over one denominator (EhrhartPoly), so
-every threshold and sign check is integer arithmetic: two coefficients of
+remaining shapes reduce recursively: products with an interval or the Reeve
+tetrahedron, or a split into two smaller witnesses.  Each recursive step
+computes a proven bound for its parameter and certifies the witness by the
+exact sign vector of the product of its sub-witness's Ehrhart polynomial
+(dilated) and the new block's closed form, i(rP x B, t) = i(P, rt) * i(B, t).
+Those polynomials are integer numerators over one denominator (EhrhartPoly),
+so every threshold and sign check is integer arithmetic: two coefficients of
 one polynomial share its denominator.  Only the hard shape searches: over
 the base b = 2..DEFAULT_MAX_BASE.  The recursion bottoms out in six d = 3/4
 witnesses, an inline table that generate_base_catalog re-derives.
@@ -30,7 +30,6 @@ from .ehrhart import (
     EulerianS,
     Interval,
     PolytopeExpr,
-    Quad,
     ReeveT,
     block_ehrhart,
     ehr_dilate,
@@ -309,7 +308,7 @@ def construct_case6(d_list) -> tuple[PolytopeExpr, EhrhartPoly, int]:
     raise SearchExhausted("case6", target, sv)
 
 
-# --- the recursive Case 1-6 constructor --------------------------------------
+# --- the recursive constructor: Cases 1-3, 5 and 6 ---------------------------
 
 
 @dataclass(frozen=True)
@@ -465,21 +464,11 @@ def _construct(pattern: Pattern) -> ConstructResult:
         step = f"case3[r={decimal_str(r)},m={decimal_str(m)}]"
         return _extend(sub, r, qr, ReeveT(m), pattern, step)
 
-    # Case 4: tail (-,+,-) -> r*Q x Quad(a).  The t-coefficient of the product
-    # is q_1 + r*c_1, where q_1, the t-coefficient of i(Quad(a), t), does not
-    # depend on a; r must make it negative (c_1 < 0 by the guard); the rest is
-    # linear in a.
-    if pattern[-1] == -1 and pattern[-2] == 1 and pattern[-3] == -1:
-        sub = _construct(pattern[:-2])
-        c = sub.ehrhart.num
-        if not c[1] < 0:
-            raise SearchExhausted("case4", pattern)
-        q = block_ehrhart(Quad(1))
-        r = 1 + _floor_ratio(q.num[1] * sub.ehrhart.den, c[1] * q.den)
-        qr = ehr_dilate(sub.ehrhart, r)
-        a = _solve_size(qr.num, Quad, pattern, d, "case4")
-        step = f"case4[r={decimal_str(r)},a={decimal_str(a)}]"
-        return _extend(sub, r, qr, Quad(a), pattern, step)
+    # Cases 1-3 did not fire, so the pattern starts and ends with -1 and its
+    # second sign is +1.  Either it contains two consecutive +1 (Case 5), or
+    # every +1 is followed by at least one -1: the shape -(+-^a1)(+-^a2)...
+    # that decompose_pattern accepts (Case 6, whose base search certifies
+    # every block list with block sum <= 20 at b <= 10).  So routing is total.
 
     # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
     # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
@@ -510,7 +499,7 @@ def _construct(pattern: Pattern) -> ConstructResult:
     if d_list is None:
         raise AssertionError(
             f"internal error: no case applies to {format_pattern(pattern)} "
-            "(cases 1-6 should be exhaustive)"
+            "(cases 1-3, 5 and 6 should be exhaustive)"
         )
     expr, ehr, b = construct_case6(d_list)
     return ConstructResult(expr, ehr, (f"case6[d_list={d_list},b={b}]",))

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrsign.delta import DeltaQ, hstar_naive
-from ehrsign.ehrhart import from_hstar
+from ehrsign.delta import DeltaQ, hstar, hstar_naive
+from ehrsign.ehrhart import ReeveT, block_ehrhart, from_hstar
+from ehrsign.eulerian import sdm, sdm_ehrhart
 from ehrsign.oracle import (
+    DEFAULT_MAX_POINTS,
     DilationCount,
     OracleGuardError,
     count_points,
@@ -138,10 +140,27 @@ def test_guards():
     s = DeltaQ((1, 1), 13)
     with pytest.raises(OracleGuardError):
         count_points(s, 10_000)
-    with pytest.raises(OracleGuardError):
-        count_points(DeltaQ((1,) * 5, 2), 1)  # d = 6 > max_dim
     with pytest.raises(ValueError):
         count_points(s, -1)
+    # only n*t is guarded: a d = 6 instance counts in n*t + 1 slices
+    s6 = DeltaQ((1,) * 5, 2)
+    assert count_points(s6, 1).count == from_hstar(hstar(s6), 6).eval(1)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_count_eulerian_simplex_matches_closed_form(d):
+    # S_d(1) is Delta(0,q) with n = d!, so the guard admits t <= 10000 // d!
+    s = sdm(d, 1).delta
+    for t in range(min(d + 2, DEFAULT_MAX_POINTS // s.n) + 1):
+        assert count_points(s, t).count == sdm_ehrhart(d, 1).eval(t), (d, t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 12, 13, 40])
+def test_count_reeve_block_matches_closed_form(m):
+    # ReeveT(m) is Delta(0,(1,1)) with n = m
+    s = DeltaQ((1, 1), m)
+    for t in range(6):
+        assert count_points(s, t).count == block_ehrhart(ReeveT(m)).eval(t), (m, t)
 
 
 def test_guard_env_override(monkeypatch):

@@ -11,7 +11,6 @@ from ehrsign import cli, signpattern
 from ehrsign.ehrhart import (
     EulerianS,
     PolytopeExpr,
-    Quad,
     ReeveT,
     expr_ehrhart,
     expr_to_json,
@@ -163,9 +162,26 @@ def test_construct_case_routing():
     assert construct((1, -1, -1)).trace[0].startswith("case1")
     assert construct((-1, -1, 1)).trace[0].startswith("case2")
     assert construct((-1, -1, 1, -1, -1)).trace[0].startswith("case3")
-    assert construct((-1, 1, -1)).trace[0].startswith("case4")
+    assert construct((-1, 1, -1)).trace[0].startswith("case6")
     assert construct((-1, 1, 1, -1, -1)).trace[0].startswith("case5")
     assert construct((-1, 1, -1, -1)).trace[0].startswith("case6")
+
+
+def test_cases_5_and_6_cover_what_cases_1_to_3_leave():
+    # A pattern that passes Cases 1-3 starts and ends with - and has + second;
+    # then it contains ++ (Case 5) or has Case 6's shape -(+-^a1)(+-^a2)...
+    reached = 0
+    for length in range(3, 15):  # lengths 1 and 2 are catalog entries
+        for pattern in all_patterns(length):
+            if pattern[0] != -1 or pattern[1] != 1 or pattern[-1] != -1:
+                continue
+            reached += 1
+            if any(pattern[i] == pattern[i + 1] == 1 for i in range(length - 1)):
+                continue
+            d_list = decompose_pattern(pattern)
+            assert d_list is not None, format_pattern(pattern)
+            assert target_pattern(d_list) == pattern
+    assert reached == 2**12 - 1  # every - + ... - of lengths 3..14
 
 
 @pytest.fixture
@@ -194,12 +210,12 @@ def test_construct_expands_only_the_catalog_lookup(fresh_memo, monkeypatch):
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
 )
 def test_construct_at_default_int_str_limit(fresh_memo):
-    # d = 16: a Case-1 dilation here has over 5,000 digits, past the default
+    # d = 17: a Case-1 dilation here has over 8,000 digits, past the default
     # limit of 4300; the trace must read as plain str() of each parameter
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        res = construct(parse_pattern("+-+-++++++++++"))
+        res = construct(parse_pattern("+-+-+++++++++++"))
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
         sys.set_int_max_str_digits(0)
         rebuilt = []
@@ -215,7 +231,7 @@ def test_construct_at_default_int_str_limit(fresh_memo):
         sys.set_int_max_str_digits(limit)
     assert tuple(rebuilt) == res.trace
     assert max(len(step) for step in res.trace) > sys.int_info.default_max_str_digits
-    assert res.trace[0].startswith("case1[r=") and res.trace[-1] == "catalog-d3"
+    assert res.trace[0].startswith("case1[r=") and res.trace[-1].startswith("case6[")
 
 
 def test_construct_polynomial_matches_full_expansion():
@@ -231,13 +247,12 @@ def test_construct_case5_orientations(fresh_memo):
     assert res.expr == PolytopeExpr(((4, ReeveT(13)), (1, ReeveT(13))))
     res = construct(parse_pattern("-+-++-"))
     assert res.trace == (
-        "case5.2[d1=5,d2=3,r=1135012]",
-        "case4[r=13,a=2354]",
-        "catalog-d3",
+        "case5.2[d1=5,d2=3,r=28369594]",
+        "case6[d_list=[2],b=3]",
         "catalog-d3",
     )
     assert res.expr == PolytopeExpr(
-        ((13, ReeveT(13)), (1, Quad(2354)), (1135012, ReeveT(13)))
+        ((27, EulerianS(2, 729)), (3, ReeveT(243)), (28369594, ReeveT(13)))
     )
 
 

@@ -2,7 +2,7 @@
 
 The constructor reads every threshold off integer numerators.  The
 references here are the same formulas in Fraction arithmetic on the public
-`.poly` view; both paths must give the same r, m and a.
+`.poly` view; both paths must give the same r and m.
 """
 
 import itertools
@@ -64,10 +64,6 @@ def ref_case3_r(c, d):
     return 1 + max(ref_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
 
 
-def ref_case4_r(c):
-    return 1 + ref_floor_ratio(block_ehrhart(Quad(1)).poly[1], c[1])
-
-
 def _outcome(fn, *args):
     """fn's value, or the SearchExhausted case it raised."""
     try:
@@ -105,10 +101,6 @@ def _reference_params(pattern):
         c = _sub(tuple(-s for s in pattern[2:-1]))
         r = ref_case3_r(c, d)
         return case, {"r": r, "m": ref_solve_size(c.compose_scale(r), ReeveT, pattern, d, case)}
-    if case == "case4":
-        c = _sub(pattern[:-2])
-        r = ref_case4_r(c)
-        return case, {"r": r, "a": ref_solve_size(c.compose_scale(r), Quad, pattern, d, case)}
     if case.startswith("case5"):
         p = _params(step)
         k = p["d1"] if case == "case5.1" else p["d2"]
@@ -126,7 +118,7 @@ def test_integer_thresholds_match_fraction_references_up_to_length_8():
             case, expected = _reference_params(pattern)
             assert _params(construct(pattern).trace[0]) == expected, (pattern, case)
             seen.add(case)
-    assert {"case1", "case2", "case3", "case4", "case5.1", "case5.2"} <= seen
+    assert {"case1", "case2", "case3", "case5.1", "case5.2", "case6"} <= seen
 
 
 # --- Hypothesis-drawn rational polynomials -----------------------------------
@@ -170,7 +162,7 @@ def test_product_threshold_matches_reference(data):
 @settings(max_examples=300, deadline=None)
 def test_solve_size_matches_reference(data):
     block, bdim, case = data.draw(
-        st.sampled_from(((Interval, 1, "case2"), (ReeveT, 3, "case3"), (Quad, 2, "case4")))
+        st.sampled_from(((Interval, 1, "case2"), (ReeveT, 3, "case3"), (Quad, 2, "quad")))
     )
     k = data.draw(st.integers(min_value=max(1, 3 - bdim), max_value=8))
     e = data.draw(rational_ehrhart(k))
