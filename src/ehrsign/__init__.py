@@ -19,13 +19,13 @@ _EXPORTS = {
     "delta": (
         "DeltaQ",
         "DivisibilityError",
-        "FastPreconditionError",
         "HStar",
         "hstar",
         "hstar_family",
         "hstar_fast",
         "hstar_naive",
         "l1_l2",
+        "reduce_q",
     ),
     "eulerian": (
         "SdmSimplex",

@@ -389,12 +389,12 @@ def _run(argv: list[str]) -> int:
 
 
 def _precondition_errors() -> tuple:
-    """delta's precondition errors, which any command can raise.  An except
+    """delta's precondition error, the family's divisibility.  An except
     clause reads this only once an exception is on its way out, so usage
     errors and `--help` do not import delta."""
-    from .delta import DivisibilityError, FastPreconditionError
+    from .delta import DivisibilityError
 
-    return FastPreconditionError, DivisibilityError
+    return (DivisibilityError,)
 
 
 def main(argv=None) -> int:

@@ -5,13 +5,16 @@ h*-polynomial is sum_{j=0}^{n-1} x^{ceil(q_1 j/n) + ... + ceil(q_d j/n)}
 with the derived last coordinate q_d = 1 - sum_{i<d} q_i.
 
 Two computation paths are provided: the direct O(n*d) summation and a
-breakpoint/plateau reconstruction that needs only O(sum |q_i|) operations
-(valid when n >= |q_i| for every i, q_d included).  Each runs as a big-int
-Python loop, or in bulk in numpy under an int64 bound once its size
+breakpoint/plateau reconstruction that needs only O(sum |r_i|) operations.
+The breakpoints need n >= |q_i|, so that pass first reduces q mod n
+(`reduce_q`): a unimodular shear maps Delta(0,q) to Delta(0,r) with
+r_i = q_i mod n, |r_i| < n and the same h*.  `hstar` reduces once and runs
+whichever pass costs less on r (`_direct_sum_pays`).  Each pass runs as a
+big-int Python loop, or in bulk in numpy under an int64 bound once its size
 reaches a measured cut (`_numpy_pays`): a low cut once numpy is loaded, a
 high one before, where the call must also pay for importing numpy.  The
 direct sum's size is n (cuts 512 and 10^5), the breakpoint pass's is
-sum |q_i| (200 and 1.5*10^5).  The module also computes the
+sum |r_i| (200 and 1.5*10^5).  The module also computes the
 characteristic polynomials L1, L2 of the parametric family where n is
 scaled by m (requires q_i | n): h* of the member is m*x*L1(x) + L2(x), so
 x*L1 is read off the m = 2 and m = 1 members, with the A(j) sum as the
@@ -47,10 +50,6 @@ def _numpy_pays(work: int, warm_cut: int, cold_cut: int) -> bool:
     have to import it first.  The one numpy-or-loop rule of the package;
     the caller still checks that its integers fit int64."""
     return work >= (warm_cut if "numpy" in sys.modules else cold_cut)
-
-
-class FastPreconditionError(ValueError):
-    """Fast path requires n >= |q_i| for all i (q_d included)."""
 
 
 class DivisibilityError(ValueError):
@@ -117,6 +116,28 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def reduce_q(s: DeltaQ) -> DeltaQ:
+    """The Delta(0,r) with the same h* as s, r_i = q_i mod n, |r_i| < n.
+
+    The shear x_i -> x_i - a_i*x_d is unimodular and fixes 0 and every e_i
+    (i < d); with q_i = a_i*n + r_i it maps the last vertex to
+    n*e_d + sum r_i e_i, and in the defining sum it changes the exponent at
+    j by (sum a_i)*j = 0, since q and r both sum to 1.  Take every residue in
+    [0, n), q_d included: they sum to 1 + k*n with k below the number of
+    nonzero residues, so subtracting n from the k largest (ties by index)
+    leaves a sum of 1.  That choice also minimizes sum |r_i|, so it never
+    exceeds sum |q_i| when every |q_i| <= n, and reducing r again returns r.
+    For n = 1 every Delta(0,q) is unimodular and r = (0,...,0,1)."""
+    n = s.n
+    if n == 1:
+        return DeltaQ((0,) * (s.d - 1), 1)
+    res = [q % n for q in s.q_full]
+    k = (sum(res) - 1) // n
+    for i in sorted(range(s.d), key=lambda i: -res[i])[:k]:
+        res[i] -= n
+    return DeltaQ(tuple(res[:-1]), n)
+
+
 def _exponents_numpy_ok(s: DeltaQ) -> bool:
     return _numpy_pays(s.n, _NAIVE_CUT_WARM, _NAIVE_CUT_COLD) and all(
         abs(q) * (s.n - 1) < _INT64_SAFE for q in s.q_full
@@ -124,7 +145,8 @@ def _exponents_numpy_ok(s: DeltaQ) -> bool:
 
 
 def hstar_naive(s: DeltaQ) -> HStar:
-    """Direct evaluation of the defining sum (O(n*d) operations)."""
+    """Direct evaluation of the defining sum on q as given (O(n*d)
+    operations): the tests' reference and `--method naive`."""
     n, d = s.n, s.d
     if _exponents_numpy_ok(s):
         import numpy as np
@@ -157,10 +179,7 @@ def breakpoints_for(q_i: int, n: int) -> list[tuple[int, int]]:
     """
     if q_i == 0:
         return []
-    if abs(q_i) > n:
-        raise FastPreconditionError(
-            f"breakpoints require n >= |q_i| (got q_i={q_i}, n={n})"
-        )
+    assert abs(q_i) <= n, "breakpoints need |q_i| <= n: reduce q first"
     if q_i > 0:
         count = q_i - 1 if q_i == n else q_i
         return [((m - 1) * n // q_i + 1, 1) for m in range(1, count + 1)]
@@ -179,18 +198,14 @@ def _net_jumps(s: DeltaQ) -> dict[int, int]:
 
 def difference_poly(s: DeltaQ) -> Poly:
     """The sparse difference polynomial F(x) = sum_i sum_j (jump of
-    ceil(q_i*j/n)) x^j, the fast path's intermediate."""
-    net = _net_jumps(s)
+    ceil(r_i*j/n)) x^j of r = reduce_q(s), the fast path's intermediate."""
+    net = _net_jumps(reduce_q(s))
     if not net:
         return Poly.zero()
     out = [0] * (max(net) + 1)
     for pos, c in net.items():
         out[pos] = c
     return Poly(out)
-
-
-def fast_precondition_ok(s: DeltaQ) -> bool:
-    return s.n >= max(abs(q) for q in s.q_full)
 
 
 def _plateau_counts(s: DeltaQ) -> list[int]:
@@ -273,36 +288,51 @@ def _jumps_numpy_ok(s: DeltaQ) -> bool:
 
 
 def hstar_fast(s: DeltaQ) -> HStar:
-    """Breakpoint/plateau computation; O(sum |q_i|) operations, independent
-    of n.  Requires n >= |q_i| for every i including the derived q_d.
+    """Breakpoint/plateau computation on `reduce_q(s)`; O(sum |r_i|)
+    operations, independent of n, and exact for every q.
 
-    The plateaus are summed in numpy when every |q_i|*n < 2^62 (so every
-    breakpoint m*n fits int64) and sum |q_i| reaches _NUMPY_CUT_WARM with
+    The plateaus are summed in numpy when every |r_i|*n < 2^62 (so every
+    breakpoint m*n fits int64) and sum |r_i| reaches _NUMPY_CUT_WARM with
     numpy already loaded, or _NUMPY_CUT_COLD without; otherwise, and past
     int64, by the big-int loop.  Both give the same h*."""
-    if not fast_precondition_ok(s):
-        raise FastPreconditionError(
-            "hstar_fast requires n >= max|q_i| (q_d included); "
-            "fall back to hstar_naive"
-        )
+    s = reduce_q(s)
     counts = _plateau_counts_numpy(s) if _jumps_numpy_ok(s) else _plateau_counts(s)
     return HStar(Poly(counts), s.d)
+
+
+# n*d / sum |r_i| from which `hstar` runs the breakpoint pass on a reduced r
+# when both passes would run in numpy.  Per element the numpy breakpoint
+# pass (argsort, reduceat) costs 13..31x the numpy direct sum at d = 3..8
+# (medians 23 and 15 over 40 `queries` numpy- and big-int-stratum instances
+# each); at a cut of 8 its temporaries peaked at 34 MB over the `queries`
+# stream (tracemalloc), at 12..32 at 24 MB.  The two loops cost about the
+# same per element (0.3..0.7 us, break-even 1.1..1.9x) and sum |r_i| < n*d,
+# so a loop breakpoint pass is kept, and never traded for a direct sum that
+# would import numpy first.  Same VM as the cuts above.
+_PASS_CUT = 16
+
+
+def _direct_sum_pays(r: DeltaQ) -> bool:
+    """Whether the direct sum costs less than the breakpoint pass on r."""
+    work = sum(abs(q) for q in r.q_full)
+    return _PASS_CUT * work > r.n * r.d and _jumps_numpy_ok(r) and _exponents_numpy_ok(r)
 
 
 Method = Literal["auto", "fast", "naive"]
 
 
 def hstar(s: DeltaQ, method: Method = "auto") -> HStar:
-    """Public entry point; auto uses the fast path iff its precondition holds."""
+    """Public entry point.  "auto" reduces q mod n once (`reduce_q`) and
+    runs the cheaper exact pass on r: the breakpoint pass (work sum |r_i|)
+    or the direct sum (work n*d), as `_direct_sum_pays` measures them."""
     if method == "naive":
         return hstar_naive(s)
     if method == "fast":
         return hstar_fast(s)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if fast_precondition_ok(s):
-        return hstar_fast(s)
-    return hstar_naive(s)
+    r = reduce_q(s)
+    return hstar_naive(r) if _direct_sum_pays(r) else hstar_fast(r)
 
 
 def _check_divisibility(s: DeltaQ) -> None:

@@ -142,10 +142,12 @@ def test_exports_resolve_to_their_defining_modules():
         ehrsign.no_such_name
 
 
-def test_fast_precondition_exit_code(capsys):
-    code, _, err = run(capsys, "hstar", "--q", "900,900", "--n", "5", "--method", "fast")
-    assert code == 65
-    assert "precondition" in err
+def test_fast_method_past_the_old_precondition(capsys):
+    # |q_i| > n: the fast path reduces q mod n and answers like the naive one
+    argv = ("hstar", "--q", "900,900", "--n", "5", "--method")
+    code, fast, err = run(capsys, *argv, "fast")
+    assert (code, err) == (0, "")
+    assert (0, fast, "") == run(capsys, *argv, "naive")
 
 
 def test_family(capsys):

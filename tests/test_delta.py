@@ -15,13 +15,11 @@ from ehrsign import delta
 from ehrsign.delta import (
     DeltaQ,
     DivisibilityError,
-    FastPreconditionError,
     HStar,
     all_minus_ones,
     breakpoints_for,
     difference_poly,
     extended_reeve,
-    fast_precondition_ok,
     hstar,
     hstar_family,
     hstar_fast,
@@ -30,10 +28,13 @@ from ehrsign.delta import (
     pow2,
     r_even,
     r_odd,
+    reduce_q,
 )
 from ehrsign.delta import (
     _INT64_SAFE,
+    _PASS_CUT,
     _NUMPY_CUT_WARM,
+    _direct_sum_pays,
     _jumps_numpy_ok,
     _net_jumps,
     _numpy_pays,
@@ -111,7 +112,8 @@ def test_breakpoints_edge_cases():
     assert breakpoints_for(0, 10) == []
     # q = n: the j=0 jump is outside [1, n-1], leaving n-1 jumps
     assert len(breakpoints_for(5, 5)) == 4
-    with pytest.raises(FastPreconditionError):
+    # callers pass a reduced q, so |q_i| > n is an internal error
+    with pytest.raises(AssertionError):
         breakpoints_for(11, 10)
 
 
@@ -131,19 +133,68 @@ def test_breakpoint_semantics():
             assert height == -((-q * j) // n), (q, n, j)
 
 
-def test_fast_precondition():
-    assert fast_precondition_ok(DeltaQ((1, 1), 13))
-    # derived q_d = -9 exceeds n here
-    assert not fast_precondition_ok(DeltaQ((4, 6), 5))
-    with pytest.raises(FastPreconditionError):
-        hstar_fast(DeltaQ((4, 6), 5))
+def test_fast_path_past_the_old_precondition():
+    # derived q_d = -9 exceeds n here: hstar_fast reduces q to (-1, 1, 1)
+    s = DeltaQ((4, 6), 5)
+    assert reduce_q(s) == DeltaQ((-1, 1), 5)
+    assert hstar_fast(s) == hstar_naive(s) == hstar_naive(reduce_q(s))
+    assert hstar_fast(DeltaQ((900, 900), 5)) == hstar_naive(DeltaQ((900, 900), 5))
 
 
 def test_hstar_dispatch():
     s = DeltaQ((4, 6), 5)
-    assert hstar(s, method="auto") == hstar_naive(s)
+    for method in ("auto", "fast", "naive"):
+        assert hstar(s, method=method) == hstar_naive(s)
     with pytest.raises(ValueError):
         hstar(s, method="bogus")
+
+
+def test_reduce_q_examples():
+    # the residues (5, 7, 9) of q = (5, -3, -1) sum to 21 = 1 + 2*10: the two
+    # largest lose n, giving q back
+    assert reduce_q(DeltaQ((5, -3), 10)) == DeltaQ((5, -3), 10)
+    assert reduce_q(DeltaQ((9,), 10)) == DeltaQ((-1,), 10)  # sum |r| 17 -> 3
+    # residues (5, 4, 6) sum to 15 = 1 + 2*7
+    assert reduce_q(DeltaQ((10**20 + 3, -(10**19)), 7)).q_full == (-2, 4, -1)
+    # n = 1: every Delta(0,q) is unimodular
+    assert reduce_q(DeltaQ((4, -9, 2), 1)) == DeltaQ((0, 0, 0), 1)
+    # equal residues (3, 3, 3) lose n by index
+    assert reduce_q(DeltaQ((3, 3), 4)).q_full == (-1, -1, 3)
+
+
+def test_huge_q_one_shot_answers_fast():
+    # 2 breakpoints after reduction, where the defining sum has 10^8 terms
+    s = DeltaQ((99_999_999_999_999, 1), 100_000_000)
+    r = reduce_q(s)
+    assert r == DeltaQ((-1, 1), 100_000_000)
+    assert not _direct_sum_pays(r)
+    assert hstar(s) == hstar_fast(s) == HStar(Poly((1, 0, 10**8 - 1)), 3)
+
+
+def test_hstar_takes_the_cheaper_pass(monkeypatch):
+    # both passes run in numpy here (n >= 512, sum |r_i| >= 200, numpy loaded)
+    n = 100_000
+    cheap = DeltaQ((1000, -999), n)  # r = q, sum |r_i| = 1999
+    dense = DeltaQ((40_000 + 5 * n, -30_000), n)  # r = (40000, -30000, -9999)
+    assert _PASS_CUT * _sum_abs(reduce_q(cheap)) <= 3 * n < _PASS_CUT * _sum_abs(reduce_q(dense))
+    for s in (cheap, dense):
+        assert hstar(s) == hstar_naive(s)
+    calls = []
+    monkeypatch.setattr(delta, "hstar_fast", lambda s: calls.append(("fast", s)))
+    monkeypatch.setattr(delta, "hstar_naive", lambda s: calls.append(("naive", s)))
+    hstar(cheap)
+    hstar(dense)
+    assert calls == [("fast", reduce_q(cheap)), ("naive", reduce_q(dense))]
+
+
+def test_hstar_cold_keeps_the_loop_pass(monkeypatch):
+    # n*d < 16 * sum |r_i| = 16 * 79,999, so with numpy loaded the direct sum
+    # runs; without it, n = 10^5 is past the direct sum's cold cut and it
+    # would import numpy, while the breakpoint pass stays on the loop
+    r = reduce_q(DeltaQ((40_000, -30_000), 100_000))
+    assert _direct_sum_pays(r)
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert not _jumps_numpy_ok(r) and not _direct_sum_pays(r)
 
 
 def test_fast_equals_naive_random():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrsign.delta import DeltaQ, hstar, hstar_naive
-from ehrsign.ehrhart import ReeveT, block_ehrhart, from_hstar
+from ehrsign.ehrhart import EulerianS, ReeveT, block_ehrhart, from_hstar
 from ehrsign.eulerian import sdm, sdm_ehrhart
 from ehrsign.oracle import (
     DEFAULT_MAX_POINTS,
@@ -155,12 +155,27 @@ def test_count_eulerian_simplex_matches_closed_form(d):
         assert count_points(s, t).count == sdm_ehrhart(d, 1).eval(t), (d, t)
 
 
+@pytest.mark.parametrize("d, m", [(d, m) for d in (5, 6, 7) for m in (2, 3)])
+def test_count_eulerian_block_matches_closed_form(monkeypatch, d, m):
+    # EulerianS(d, m) is Delta(0, sdm_q_head(d)) with n = d!*m; the paper's
+    # i(S_d(m), t) = m*t^d + sum_{i<d} C(d, i)*t^i, counted to n*t <= 10^5
+    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", str(10**5))
+    s = sdm(d, m).delta
+    assert s.n == math.factorial(d) * m
+    closed = block_ehrhart(EulerianS(d, m))
+    for t in range(min(3, 10**5 // s.n) + 1):
+        expected = m * t**d + sum(math.comb(d, i) * t**i for i in range(d))
+        assert count_points(s, t).count == sdm_ehrhart(d, m).eval(t) == expected, (d, m, t)
+        assert closed.eval(t) == expected
+
+
 @pytest.mark.parametrize("m", [1, 2, 6, 12, 13, 40])
 def test_count_reeve_block_matches_closed_form(m):
-    # ReeveT(m) is Delta(0,(1,1)) with n = m
+    # ReeveT(m) is Delta(0,(1,1)) with n = m; i(t) = m/6 t^3 + t^2 + (12-m)/6 t + 1
     s = DeltaQ((1, 1), m)
     for t in range(6):
-        assert count_points(s, t).count == block_ehrhart(ReeveT(m)).eval(t), (m, t)
+        closed = Fraction(m * t**3 + (12 - m) * t, 6) + t * t + 1
+        assert count_points(s, t).count == block_ehrhart(ReeveT(m)).eval(t) == closed, (m, t)
 
 
 def test_guard_env_override(monkeypatch):

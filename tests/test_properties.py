@@ -4,7 +4,7 @@ and structural identities that should hold on arbitrary valid inputs."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrsign.delta import DeltaQ, difference_poly, hstar_fast, hstar_naive
+from ehrsign.delta import DeltaQ, difference_poly, hstar, hstar_fast, hstar_naive, reduce_q
 from ehrsign.ehrhart import from_hstar
 from ehrsign.eulerian import lehmer_decode, lehmer_encode
 from ehrsign.polynomials import Poly
@@ -25,6 +25,43 @@ def fast_path_instances(draw):
 @settings(max_examples=150, deadline=None)
 def test_fast_equals_naive(s):
     assert hstar_fast(s) == hstar_naive(s)
+
+
+@st.composite
+def huge_q_instances(draw):
+    """|q_i| up to 10^19, far past n <= 300."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    head = tuple(draw(st.integers(min_value=-(10**19), max_value=10**19)) for _ in range(d - 1))
+    return DeltaQ(head, draw(st.integers(min_value=1, max_value=300)))
+
+
+def _sum_abs(s):
+    return sum(abs(q) for q in s.q_full)
+
+
+@given(huge_q_instances())
+@settings(max_examples=150, deadline=None)
+def test_every_pass_agrees_past_the_old_precondition(s):
+    assert hstar_naive(s) == hstar_fast(s) == hstar(s)
+
+
+@given(huge_q_instances())
+@settings(max_examples=200, deadline=None)
+def test_reduce_q_is_a_small_idempotent_representative(s):
+    r = reduce_q(s)
+    assert r.n == s.n and r.d == s.d
+    assert sum(r.q_full) == 1
+    assert all(abs(x) <= s.n for x in r.q_full)
+    assert all((x - q) % s.n == 0 for x, q in zip(r.q_full, s.q_full))
+    assert reduce_q(r) == r
+
+
+@given(fast_path_instances())
+@settings(max_examples=200, deadline=None)
+def test_reduce_q_never_adds_breakpoints(s):
+    # with every |q_i| < n the breakpoint pass's work cannot grow
+    if max(abs(q) for q in s.q_full) < s.n:
+        assert _sum_abs(reduce_q(s)) <= _sum_abs(s)
 
 
 @given(fast_path_instances())
