@@ -28,7 +28,7 @@ _EXPORTS = {
         "reduce_q",
     ),
     "eulerian": (
-        "SdmSimplex",
+        "EulerianS",
         "aleph",
         "aleph_inv",
         "descent_formula",
@@ -37,7 +37,6 @@ _EXPORTS = {
         "eulerian_recurrence",
         "lehmer_decode",
         "lehmer_encode",
-        "sdm",
         "sdm_ehrhart",
         "sdm_hstar",
     ),
@@ -51,7 +50,6 @@ _EXPORTS = {
     "ehrhart": (
         "Delta",
         "EhrhartPoly",
-        "EulerianS",
         "Interval",
         "PolytopeExpr",
         "Quad",

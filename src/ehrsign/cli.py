@@ -221,9 +221,10 @@ _JSON = Option(None)
 )
 def _hstar(q, n, method, json):
     """h*-polynomial of Delta(0,q)."""
-    from .delta import hstar
+    from .delta import hstar, hstar_fast, hstar_naive
 
-    _print_poly(hstar(_delta(q, n), method=method).poly, "x", json)
+    method_fn = {"auto": hstar, "fast": hstar_fast, "naive": hstar_naive}[method]
+    _print_poly(method_fn(_delta(q, n)).poly, "x", json)
 
 
 @_command(
@@ -231,11 +232,14 @@ def _hstar(q, n, method, json):
 )
 def _family(q, n, m, json):
     """Characteristic polynomials L1, L2 of the family Delta(0,q^(m))."""
-    from .delta import hstar_family, l1_l2
+    from .delta import DivisibilityError, hstar_family, l1_l2
     from .polynomials import poly_to_json, poly_to_text
 
     s = _delta(q, n)
-    l1, l2 = l1_l2(s)
+    try:
+        l1, l2 = l1_l2(s)
+    except DivisibilityError as e:
+        raise CliError(EXIT_PRECONDITION, "precondition error", e) from None
     h_m = _domain(hstar_family, s, m).poly if m is not None else None
     if json:
         out = {"L1": poly_to_json(l1, var="x"), "L2": poly_to_json(l2, var="x")}
@@ -267,10 +271,10 @@ def _eulerian(d, method, json):
 )
 def _sdm(d, m, what, json):
     """The Eulerian simplex S_d(m)."""
-    from .eulerian import sdm, sdm_ehrhart, sdm_hstar
+    from .eulerian import EulerianS, sdm_ehrhart, sdm_hstar
 
     if what == "vertices":
-        verts = _domain(sdm, d, m).vertices()
+        verts = _domain(EulerianS, d, m).vertices()
         if json:
             print(_dumps([list(v) for v in verts]))
         else:
@@ -297,7 +301,7 @@ def _ehrhart(q, n, expr, json):
 
         try:
             polytope = expr_from_json(loads(expr))
-        except (ValueError, KeyError, TypeError, JSONDecodeError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError, JSONDecodeError) as e:
             raise _usage(f"bad --expr: {e}") from None
         ehr = expr_ehrhart(polytope)
     elif q is not None and n is not None:
@@ -388,15 +392,6 @@ def _run(argv: list[str]) -> int:
     return fn(**kwargs) or EXIT_OK
 
 
-def _precondition_errors() -> tuple:
-    """delta's precondition error, the family's divisibility.  An except
-    clause reads this only once an exception is on its way out, so usage
-    errors and `--help` do not import delta."""
-    from .delta import DivisibilityError
-
-    return (DivisibilityError,)
-
-
 def main(argv=None) -> int:
     # Witnesses run to many thousands of digits: lift the int-to-str limit
     # for the integers this CLI computed itself, and restore it on the way out.
@@ -409,9 +404,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.code
-    except _precondition_errors() as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
     finally:
         if lift:
             sys.set_int_max_str_digits(old_limit)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal
 
 from .polynomials import Poly
 
@@ -42,6 +41,10 @@ _INT64_SAFE = 2**62
 # 2-vCPU Xeon VM, Python 3.11, numpy 2.4.
 _NAIVE_CUT_WARM = 512
 _NAIVE_CUT_COLD = 100_000
+
+# j per block of hstar_naive's numpy sum, whose temporaries peak near 32
+# bytes per j: about 34 MB whatever n is, one block for every n <= 10^6.
+_NAIVE_BLOCK = 1 << 20
 
 
 def _numpy_pays(work: int, warm_cut: int, cold_cut: int) -> bool:
@@ -148,21 +151,19 @@ def hstar_naive(s: DeltaQ) -> HStar:
     """Direct evaluation of the defining sum on q as given (O(n*d)
     operations): the tests' reference and `--method naive`."""
     n, d = s.n, s.d
+    qs = [q for q in s.q_full if q]
     if _exponents_numpy_ok(s):
         import numpy as np
 
-        j = np.arange(n, dtype=np.int64)
-        e = np.zeros(n, dtype=np.int64)
-        for q in s.q_full:
-            if q:
-                e -= (-q * j) // n
-        lo, hi = int(e.min()), int(e.max())
-        if lo < 0 or hi > d:
-            raise AssertionError("internal error: h* exponent outside [0, d]")
-        counts = np.bincount(e, minlength=d + 1)
+        counts = np.zeros(d + 1, dtype=np.int64)
+        for start in range(0, n, _NAIVE_BLOCK):
+            j = np.arange(start, min(start + _NAIVE_BLOCK, n), dtype=np.int64)
+            e = -sum((-q * j) // n for q in qs)
+            if int(e.min()) < 0 or int(e.max()) > d:
+                raise AssertionError("internal error: h* exponent outside [0, d]")
+            counts += np.bincount(e, minlength=d + 1)
         return HStar(Poly(int(c) for c in counts), d)
     counts = [0] * (d + 1)
-    qs = [q for q in s.q_full if q]
     for j in range(n):
         exp = sum(_ceil_div(q * j, n) for q in qs)
         if not 0 <= exp <= d:
@@ -318,19 +319,10 @@ def _direct_sum_pays(r: DeltaQ) -> bool:
     return _PASS_CUT * work > r.n * r.d and _jumps_numpy_ok(r) and _exponents_numpy_ok(r)
 
 
-Method = Literal["auto", "fast", "naive"]
-
-
-def hstar(s: DeltaQ, method: Method = "auto") -> HStar:
-    """Public entry point.  "auto" reduces q mod n once (`reduce_q`) and
-    runs the cheaper exact pass on r: the breakpoint pass (work sum |r_i|)
-    or the direct sum (work n*d), as `_direct_sum_pays` measures them."""
-    if method == "naive":
-        return hstar_naive(s)
-    if method == "fast":
-        return hstar_fast(s)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def hstar(s: DeltaQ) -> HStar:
+    """Public entry point: reduce q mod n once (`reduce_q`) and run the
+    cheaper exact pass on r: the breakpoint pass (work sum |r_i|) or the
+    direct sum (work n*d), as `_direct_sum_pays` measures them."""
     r = reduce_q(s)
     return hstar_naive(r) if _direct_sum_pays(r) else hstar_fast(r)
 
@@ -368,11 +360,12 @@ def l1_l2(s: DeltaQ) -> tuple[Poly, Poly]:
 
 
 def hstar_family(s: DeltaQ, m: int) -> HStar:
-    """h* of Delta(0, q^(m)): the member with n replaced by m*n."""
+    """h* of Delta(0, q^(m)), the member with n replaced by m*n; it equals
+    m*x*L1(x) + L2(x) for the `l1_l2` pair.  Requires q_i | n for all i."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    l1, l2 = l1_l2(s)
-    return HStar(l1.shift(1).scale(m) + l2, s.d)
+    _check_divisibility(s)
+    return hstar(DeltaQ(s.q_head, m * s.n))
 
 
 # --- closed-form special families -------------------------------------------

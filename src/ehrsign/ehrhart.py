@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union, get_args
 
 from .delta import DeltaQ, HStar, hstar
-from .eulerian import sdm_ehrhart
+from .eulerian import EulerianS, sdm_ehrhart
 from .polynomials import Poly, falling_poly
 
 
@@ -100,24 +100,6 @@ class ReeveT:
 
     kind = "reeve"
     dim = 3
-
-
-@dataclass(frozen=True)
-class EulerianS:
-    """The Eulerian simplex S_d(m)."""
-
-    d: int
-    m: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ValueError("EulerianS requires d >= 1, m >= 1")
-
-    kind = "eulerian_s"
-
-    @property
-    def dim(self) -> int:
-        return self.d
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def sdm_q_head(d: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SdmSimplex:
+class EulerianS:
     """The Eulerian simplex S_d(m): the interval [0,m] for d=1, otherwise the
     Delta(0,q) with q_head = (q_1(d),...,q_{d-1}(d)) and n = d!*m."""
 
@@ -154,26 +154,27 @@ class SdmSimplex:
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
-            raise ValueError("require d >= 1, m >= 1")
-        if self.d >= 2:
-            dq = self.delta
-            if dq.q_d != math.factorial(self.d):
-                raise AssertionError("derived q_d != d! for S_d(m)")
+            raise ValueError("EulerianS requires d >= 1, m >= 1")
+
+    kind = "eulerian_s"
+
+    @property
+    def dim(self) -> int:
+        return self.d
 
     @property
     def delta(self) -> DeltaQ:
         if self.d < 2:
             raise ValueError("d=1 is the interval [0,m], not a DeltaQ")
-        return DeltaQ(sdm_q_head(self.d), math.factorial(self.d) * self.m)
+        dq = DeltaQ(sdm_q_head(self.d), math.factorial(self.d) * self.m)
+        if dq.q_d != math.factorial(self.d):
+            raise AssertionError("derived q_d != d! for S_d(m)")
+        return dq
 
     def vertices(self) -> list[tuple[int, ...]]:
         if self.d == 1:
             return [(0,), (self.m,)]
         return self.delta.vertices()
-
-
-def sdm(d: int, m: int) -> SdmSimplex:
-    return SdmSimplex(d, m)
 
 
 def sdm_hstar(d: int, m: int) -> HStar:

@@ -27,7 +27,6 @@ from functools import lru_cache
 from .ehrhart import (
     Block,
     EhrhartPoly,
-    EulerianS,
     Interval,
     PolytopeExpr,
     ReeveT,
@@ -38,6 +37,7 @@ from .ehrhart import (
     sign_vector,
     _sgn,
 )
+from .eulerian import EulerianS
 from .polynomials import Poly, decimal_str
 
 # Bounds the Case-6 base search, far above what it needs: every block list
@@ -141,8 +141,8 @@ class GreedyParams:
             assert a[i + 1] == a[i] + b[i] / self.d_list[i - 1]
 
 
-def greedy_params(d_list, epsilon: Fraction | None = None) -> GreedyParams:
-    """epsilon defaults to half the validity bound prod(1 - 1/d_j), j < k."""
+def greedy_params(d_list) -> GreedyParams:
+    """epsilon is half the validity bound prod(1 - 1/d_j), j < k."""
     d_list = tuple(d_list)
     if not d_list or any(d < 2 for d in d_list):
         raise ValueError("every d_i must be >= 2 and k >= 1")
@@ -150,10 +150,7 @@ def greedy_params(d_list, epsilon: Fraction | None = None) -> GreedyParams:
     bound = Fraction(1)
     for d in d_list[:-1]:
         bound *= 1 - Fraction(1, d)
-    if epsilon is None:
-        epsilon = bound / 2
-    if not 0 < epsilon < bound:
-        raise ValueError("epsilon outside the validity interval")
+    epsilon = bound / 2
     alpha = [epsilon / 3, epsilon]
     beta = [1 - epsilon / 3, 1 + epsilon - epsilon]
     for i in range(1, k):
@@ -172,16 +169,11 @@ class WeightTable:
     partial one l_i*alpha_i.  The greedy decomposition (fill from the last
     factor) attains the maximum."""
 
-    def __init__(self, d_list, params: GreedyParams | None = None):
-        self.params = params if params is not None else greedy_params(d_list)
+    def __init__(self, d_list):
+        self.params = greedy_params(d_list)
         self.d_list = tuple(d_list)
-        k = len(self.d_list)
-        self.k = k
-        # suffix sums E[j] = d_j + ... + d_k, 1-indexed; E[k+1] = 0
-        self.E = [0] * (k + 2)
-        for j in range(k, 0, -1):
-            self.E[j] = self.E[j + 1] + self.d_list[j - 1]
-        self.D = self.E[1]
+        self.k = len(self.d_list)
+        self.D = sum(self.d_list)
 
     def weight(self, i: int, l: int) -> Fraction:
         """w_i(l) for factor i in 1..k."""
@@ -208,9 +200,6 @@ class WeightTable:
                 break
         return total
 
-    def delta(self, x: int) -> Fraction:
-        return self.W(x) - self.W(x - 1)
-
     def brute_force_W(self, x: int) -> Fraction:
         """Exhaustive maximum over all decompositions; test oracle only."""
         best = None
@@ -234,11 +223,11 @@ def target_pattern(d_list) -> Pattern:
     return tuple(out)
 
 
-def predict_signs(d_list, params: GreedyParams | None = None) -> Pattern:
+def predict_signs(d_list) -> Pattern:
     """Asymptotic signs of the middle coefficients (degrees D+1 down to 1):
     for each degree, maximize w_0(l_0) + W(h - l_0) over l_0 in {0..3}; the
     coefficient is negative exactly when the unique maximizer is l_0 = 1."""
-    table = WeightTable(d_list, params)
+    table = WeightTable(d_list)
     p = table.params
     w0 = [
         Fraction(0),
@@ -473,26 +462,24 @@ def _construct(pattern: Pattern) -> ConstructResult:
     # Case 5: two consecutive +1 -> split product Q1 x Q2 (dims d1 >= d2) with
     # one factor dilated: r*Q1 x Q2 (5.1) or Q1 x r*Q2 (5.2).  The dilated
     # factor, of dimension k, needs s_k = s_{k-1} = +1, where s_i = pattern[d-2-i].
-    if any(pattern[i] == pattern[i + 1] == 1 for i in range(len(pattern) - 1)):
-        for d1 in range(d - 2, (d - 1) // 2, -1):  # d1 >= d2
-            d2 = d - d1
-            for case, k in (("case5.1", d1), ("case5.2", d2)):
-                if pattern[d - 2 - k] != 1 or pattern[d - 1 - k] != 1:
-                    continue
-                top = _construct(pattern[d - k :])  # dims k, dilated
-                low = _construct(pattern[: d - k - 2])  # dims d - k
-                r = _product_threshold(
-                    top.ehrhart.num, k, low.ehrhart.num, pattern, d
-                )
-                if r is None:
-                    raise SearchExhausted(case, pattern)
-                step = f"{case}[d1={d1},d2={d2},r={decimal_str(r)}]"
-                dilated = top.expr.dilated(r)
-                ehr = ehr_product(ehr_dilate(top.ehrhart, r), low.ehrhart)
-                if case == "case5.1":
-                    return _certify(dilated * low.expr, ehr, pattern, step, top, low)
-                return _certify(low.expr * dilated, ehr, pattern, step, low, top)
-        raise SearchExhausted("case5", pattern)
+    # k runs over 2..d-2, so the loop tries every pair of neighbouring signs
+    # and falls through exactly when the pattern has no ++ (Case 6).
+    for d1 in range(d - 2, (d - 1) // 2, -1):  # d1 >= d2
+        d2 = d - d1
+        for case, k in (("case5.1", d1), ("case5.2", d2)):
+            if pattern[d - 2 - k] != 1 or pattern[d - 1 - k] != 1:
+                continue
+            top = _construct(pattern[d - k :])  # dims k, dilated
+            low = _construct(pattern[: d - k - 2])  # dims d - k
+            r = _product_threshold(top.ehrhart.num, k, low.ehrhart.num, pattern, d)
+            if r is None:
+                raise SearchExhausted(case, pattern)
+            step = f"{case}[d1={d1},d2={d2},r={decimal_str(r)}]"
+            dilated = top.expr.dilated(r)
+            ehr = ehr_product(ehr_dilate(top.ehrhart, r), low.ehrhart)
+            if case == "case5.1":
+                return _certify(dilated * low.expr, ehr, pattern, step, top, low)
+            return _certify(low.expr * dilated, ehr, pattern, step, low, top)
 
     # Case 6: the residual shape always decomposes
     d_list = decompose_pattern(pattern)

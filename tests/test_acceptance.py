@@ -17,13 +17,13 @@ from ehrsign.delta import (
 from ehrsign.delta import difference_poly
 from ehrsign.ehrhart import from_hstar, sign_vector
 from ehrsign.eulerian import (
+    EulerianS,
     aleph_inv,
     descent_formula,
     descents,
     eulerian_descent,
     eulerian_recurrence,
     lehmer_decode,
-    sdm,
     sdm_ehrhart,
     sdm_hstar,
 )
@@ -165,7 +165,7 @@ def test_criterion_7_sdm():
             assert p == from_hstar(h, d).poly, (d, m)
     for d in range(2, 7):
         for m in (1, 2):
-            assert sdm_hstar(d, m) == hstar_naive(sdm(d, m).delta), (d, m)
+            assert sdm_hstar(d, m) == hstar_naive(EulerianS(d, m).delta), (d, m)
     h = sdm_hstar(6, 10).poly
     chain = [h[0], h[6], h[1], h[5], h[2], h[4], h[3]]
     assert h[0] == 1

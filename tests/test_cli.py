@@ -2,6 +2,8 @@
 the exit-code contract (0 ok, 1 mismatch, 2 exhausted, 64 usage, 65
 precondition)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehrsign
 from ehrsign import cli
@@ -80,6 +84,8 @@ def test_usage_errors(capsys):
         (),
         ("hstar", "--q", "1,1", "--n"),
         ("sign-construct", "--pattern", "+", "--max-base", "5"),
+        # a JSON number past float range reads as infinity
+        ("ehrhart", "--expr", '{"factors": [{"r": 1e400, "block": {}}]}'),
     ],
 )
 def test_domain_errors_are_usage_errors(capsys, argv):
@@ -87,6 +93,89 @@ def test_domain_errors_are_usage_errors(capsys, argv):
     assert code == 64
     assert err.startswith("usage error:")
     assert "Traceback" not in err and out == ""
+
+
+_BLOCKS = st.one_of(
+    st.builds(lambda m: {"kind": "interval", "m": m}, st.integers(-1, 5)),
+    st.builds(lambda m: {"kind": "reeve", "m": m}, st.integers(-1, 20)),
+    st.builds(
+        lambda d, m: {"kind": "eulerian_s", "d": d, "m": m}, st.integers(0, 5), st.integers(0, 5)
+    ),
+    st.builds(lambda a: {"kind": "quad", "a": a}, st.integers(-1, 5)),
+    st.builds(lambda d: {"kind": "std_simplex", "d": d}, st.integers(0, 5)),
+    st.builds(
+        lambda q, n: {"kind": "delta", "q": q, "n": n},
+        st.lists(st.integers(-9, 9), max_size=3),
+        st.integers(0, 12),
+    ),
+    st.just({"kind": "bogus"}),
+)
+
+
+def _mostly(valid, invalid):
+    """valid nine times in ten, invalid otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: invalid if k == 9 else valid)
+
+
+def _join(q):
+    return ",".join(map(str, q))
+
+
+# option -> its values; sizes stay small, so that every call is quick
+_VALUES = {
+    "q": _mostly(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=4).map(_join)
+        # small divisors of 12 and 60: the family's q_i | n often holds
+        | st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=3).map(_join),
+        st.sampled_from(["", "1,,2", "x", "1.5"]),
+    ),
+    "n": _mostly(
+        st.integers(1, 60).map(str) | st.sampled_from(["12", "60"]),
+        st.sampled_from(["0", "-1", "x"]),
+    ),
+    "m": _mostly(st.integers(1, 40).map(str), st.sampled_from(["0", "-1"])),
+    "d": _mostly(st.integers(1, 9).map(str), st.sampled_from(["0", "-1", "12"])),
+    "tmax": _mostly(st.integers(0, 3).map(str), st.just("-1")),
+    "pattern": _mostly(st.text("+-", min_size=1, max_size=8), st.text("+-0", max_size=3)),
+    "expr": _mostly(
+        st.lists(st.fixed_dictionaries({"r": st.integers(0, 4), "block": _BLOCKS}), max_size=3).map(
+            lambda factors: json.dumps({"factors": factors})
+        ),
+        st.sampled_from(
+            ["{not json", "[]", "{}", '{"factors": 1}', '{"factors": [{"r": 1e400, "block": {}}]}']
+        ),
+    ),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for one of the commands, from its option table: each option
+    present or not (a required one mostly present), a choice sometimes out
+    of range, and now and then a stray token."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [name]
+    for dest, opt in cli.COMMANDS[name][1].items():
+        if not (draw(st.integers(0, 9)) < 9 if opt.required else draw(st.booleans())):
+            continue
+        argv.append("--" + dest.replace("_", "-"))
+        if opt.choices:
+            argv.append(draw(_mostly(st.sampled_from(opt.choices), st.just("bogus"))))
+        elif opt.type is not None:
+            argv.append(draw(_VALUES[dest]))
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(["--bogus", "stray", "--help", "--json=1"])))
+    return argv
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_every_call_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 64, 65), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])
@@ -131,7 +220,7 @@ def test_help_exits_zero(capsys, argv, shown):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 58
+    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 56
     for name in ehrsign.__all__:
         obj = getattr(ehrsign, name)
         assert obj.__module__.startswith("ehrsign.")

@@ -143,10 +143,7 @@ def test_fast_path_past_the_old_precondition():
 
 def test_hstar_dispatch():
     s = DeltaQ((4, 6), 5)
-    for method in ("auto", "fast", "naive"):
-        assert hstar(s, method=method) == hstar_naive(s)
-    with pytest.raises(ValueError):
-        hstar(s, method="bogus")
+    assert hstar(s) == hstar_fast(s) == hstar_naive(s)
 
 
 def test_reduce_q_examples():
@@ -219,6 +216,16 @@ def test_numpy_and_python_paths_agree():
     for n in (511, 512, 513):
         s = DeltaQ((3, -2, 5), n)
         assert hstar_fast(s) == hstar_naive(s)
+
+
+def test_hstar_naive_numpy_blocks_match_the_loop(monkeypatch):
+    # blocks of 7 j, the last one short, against the big-int loop
+    monkeypatch.setattr(delta, "_NAIVE_BLOCK", 7)
+    cases = [DeltaQ((3, -2, 5), 1000), DeltaQ((1, 5, 6, 8, -3, -7), 517), DeltaQ((-1,) * 4, 520)]
+    assert all(delta._exponents_numpy_ok(s) for s in cases)
+    blocked = [hstar_naive(s) for s in cases]
+    monkeypatch.setattr(delta, "_exponents_numpy_ok", lambda s: False)
+    assert blocked == [hstar_naive(s) for s in cases]
 
 
 def test_huge_n_fast_path():
@@ -421,8 +428,11 @@ def test_l1_l2_properties_random():
         assert l1.eval(1) == s.n
         assert l2[0] == 1
         assert l2.eval(1) == 0
-        for m in (1, 2, 3):
-            assert hstar_family(s, m) == hstar_naive(DeltaQ(s.q_head, s.n * m))
+        # the family identity h*(Delta(0,q^(m))) = m*x*L1 + L2
+        for m in range(1, 6):
+            scaled = hstar_naive(DeltaQ(s.q_head, s.n * m))
+            assert l1.shift(1).scale(m) + l2 == scaled.poly, (s, m)
+            assert hstar_family(s, m) == scaled
 
 
 # --- closed-form special families -------------------------------------------

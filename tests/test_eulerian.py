@@ -4,6 +4,7 @@ import pytest
 
 from ehrsign.delta import DeltaQ, HStar, hstar_family, hstar_naive, l1_l2
 from ehrsign.eulerian import (
+    EulerianS,
     aleph,
     aleph_inv,
     descent_formula,
@@ -12,7 +13,6 @@ from ehrsign.eulerian import (
     eulerian_recurrence,
     lehmer_decode,
     lehmer_encode,
-    sdm,
     sdm_ehrhart,
     sdm_hstar,
     sdm_q_head,
@@ -89,15 +89,15 @@ def test_sdm_q_head_values():
 
 
 def test_sdm_simplex():
-    s = sdm(3, 2)
+    s = EulerianS(3, 2)
     assert s.delta == DeltaQ((-3, -2), 12)
     assert s.delta.q_d == 6
     assert s.vertices()[-1] == (-3, -2, 12)
-    assert sdm(1, 5).vertices() == [(0,), (5,)]
+    assert EulerianS(1, 5).vertices() == [(0,), (5,)]
     with pytest.raises(ValueError):
-        sdm(0, 1)
+        EulerianS(0, 1)
     with pytest.raises(ValueError):
-        sdm(1, 5).delta
+        EulerianS(1, 5).delta
 
 
 def test_sdm_hstar_closed_form():
@@ -134,13 +134,13 @@ def test_sdm_numerator_decomposition():
 def test_sdm_hstar_matches_lattice_definition():
     for d in range(2, 6):
         for m in (1, 2):
-            assert sdm_hstar(d, m) == hstar_naive(sdm(d, m).delta), (d, m)
+            assert sdm_hstar(d, m) == hstar_naive(EulerianS(d, m).delta), (d, m)
 
 
 def test_sdm_is_family_member():
     # S_d(m) is the m-th member of the family based at S_d(1): L1 = A_d(x)/x
     for d in (3, 4, 5):
-        base = sdm(d, 1).delta
+        base = EulerianS(d, 1).delta
         l1, l2 = l1_l2(base)
         assert l1.shift(1) == eulerian_recurrence(d)
         for m in (2, 3):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrsign.delta import DeltaQ, hstar, hstar_naive
-from ehrsign.ehrhart import EulerianS, ReeveT, block_ehrhart, from_hstar
-from ehrsign.eulerian import sdm, sdm_ehrhart
+from ehrsign.ehrhart import ReeveT, block_ehrhart, from_hstar
+from ehrsign.eulerian import EulerianS, sdm_ehrhart
 from ehrsign.oracle import (
     DEFAULT_MAX_POINTS,
     DilationCount,
@@ -150,7 +150,7 @@ def test_guards():
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_count_eulerian_simplex_matches_closed_form(d):
     # S_d(1) is Delta(0,q) with n = d!, so the guard admits t <= 10000 // d!
-    s = sdm(d, 1).delta
+    s = EulerianS(d, 1).delta
     for t in range(min(d + 2, DEFAULT_MAX_POINTS // s.n) + 1):
         assert count_points(s, t).count == sdm_ehrhart(d, 1).eval(t), (d, t)
 
@@ -160,7 +160,7 @@ def test_count_eulerian_block_matches_closed_form(monkeypatch, d, m):
     # EulerianS(d, m) is Delta(0, sdm_q_head(d)) with n = d!*m; the paper's
     # i(S_d(m), t) = m*t^d + sum_{i<d} C(d, i)*t^i, counted to n*t <= 10^5
     monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", str(10**5))
-    s = sdm(d, m).delta
+    s = EulerianS(d, m).delta
     assert s.n == math.factorial(d) * m
     closed = block_ehrhart(EulerianS(d, m))
     for t in range(min(3, 10**5 // s.n) + 1):
