@@ -301,7 +301,7 @@ def _ehrhart(q, n, expr, json):
 
         try:
             polytope = expr_from_json(loads(expr))
-        except (ValueError, KeyError, TypeError, OverflowError, JSONDecodeError) as e:
+        except (ValueError, KeyError, TypeError, JSONDecodeError) as e:
             raise _usage(f"bad --expr: {e}") from None
         ehr = expr_ehrhart(polytope)
     elif q is not None and n is not None:

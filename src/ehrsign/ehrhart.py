@@ -254,14 +254,22 @@ def block_to_json(b: Block) -> dict:
     return {"kind": b.kind, **{f.name: getattr(b, f.name) for f in fields(b)}}
 
 
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; floats, strings and booleans are
+    rejected, never truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def block_from_json(obj: dict) -> Block:
     kind = obj["kind"]
     cls = _BLOCK_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown block kind {kind!r}")
     if cls is Delta:
-        return Delta(DeltaQ(tuple(int(q) for q in obj["q"]), int(obj["n"])))
-    return cls(*(int(obj[f.name]) for f in fields(cls)))
+        return Delta(DeltaQ(tuple(_json_int(q) for q in obj["q"]), _json_int(obj["n"])))
+    return cls(*(_json_int(obj[f.name]) for f in fields(cls)))
 
 
 def expr_to_json(e: PolytopeExpr) -> dict:
@@ -275,6 +283,6 @@ def expr_to_json(e: PolytopeExpr) -> dict:
 def expr_from_json(obj: dict) -> PolytopeExpr:
     return PolytopeExpr(
         tuple(
-            (int(f["r"]), block_from_json(f["block"])) for f in obj["factors"]
+            (_json_int(f["r"]), block_from_json(f["block"])) for f in obj["factors"]
         )
     )

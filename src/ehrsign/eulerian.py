@@ -179,8 +179,7 @@ class EulerianS:
 
 def sdm_hstar(d: int, m: int) -> HStar:
     """Closed form: x * h*(S_d(m)) = A_d(x) * ((m-1)x + 1)."""
-    if d < 1 or m < 1:
-        raise ValueError("require d >= 1, m >= 1")
+    EulerianS(d, m)  # the (d, m) domain check
     if d == 1:
         return HStar(Poly((1, m - 1)), 1)
     numer = eulerian_recurrence(d) * Poly((1, m - 1))
@@ -191,7 +190,6 @@ def sdm_hstar(d: int, m: int) -> HStar:
 
 def sdm_ehrhart(d: int, m: int) -> Poly:
     """i(S_d(m), t) = m*t^d + sum_{i=0}^{d-1} C(d,i) t^i."""
-    if d < 1 or m < 1:
-        raise ValueError("require d >= 1, m >= 1")
+    EulerianS(d, m)  # the (d, m) domain check
     coeffs = [math.comb(d, i) for i in range(d)] + [m]
     return Poly(coeffs)

@@ -1,10 +1,9 @@
 """Lattice-point ground truth.
 
-Counts lattice points of dilates of Delta(0,q) (and of the 2-D quad block
-and standard simplices) straight from the defining inequalities, then
-recovers Ehrhart and h*-polynomials by interpolation.  Everything is exact
-integer arithmetic: membership in t*Delta(0,q) is tested with the
-inequalities scaled by n.
+Counts lattice points of dilates of Delta(0,q) (and of the 2-D quad block)
+straight from the defining inequalities, then recovers Ehrhart and
+h*-polynomials by interpolation.  Everything is exact integer arithmetic:
+membership in t*Delta(0,q) is tested with the inequalities scaled by n.
 
 t*Delta(0,q) is counted one x_d slice at a time.  With x_d fixed, each
 barycentric coordinate lam_i = x_i - q_i*x_d/n (i < d) is its smallest
@@ -12,13 +11,12 @@ feasible value plus a non-negative integer, so the slice is a dilated
 standard simplex whose points one binomial coefficient counts.  The slices
 are summed one by one, never grouped by x_d mod n: grouping them is the
 h*->Ehrhart conversion itself, and the oracle exists to check that formula
-independently.  The guards are hard preconditions, not silent truncation.
+independently.  The guard is a hard precondition, not silent truncation.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,22 +28,9 @@ class OracleGuardError(ValueError):
     """Enumeration refused: instance exceeds the desk-scale guard."""
 
 
-DEFAULT_MAX_POINTS = 10_000
-
-
-def _max_points() -> int:
-    env = os.environ.get("EHRHART_MAX_ORACLE_POINTS")
-    if not env:
-        return DEFAULT_MAX_POINTS
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise OracleGuardError(
-            f"EHRHART_MAX_ORACLE_POINTS={env!r} is not a non-negative integer"
-        )
-    return limit
+# Bound on the n*t slices one count walks: a slice costs 0.8-1.9 us at d <= 9
+# (2-vCPU Xeon VM, Python 3.11), so a count at the bound takes at most 0.2 s.
+MAX_SLICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,14 +54,8 @@ def count_points(s: DeltaQ, t: int) -> DilationCount:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    limit = _max_points()
-    if s.n * t > limit:
-        raise OracleGuardError(
-            f"n*t = {s.n * t} exceeds the oracle guard {limit} "
-            "(set EHRHART_MAX_ORACLE_POINTS to override)"
-        )
-    if t == 0:
-        return DilationCount(0, 1, 0)
+    if s.n * t > MAX_SLICES:
+        raise OracleGuardError(f"n*t = {s.n * t} exceeds the oracle guard {MAX_SLICES}")
 
     n = s.n
     qs = s.q_head
@@ -140,19 +119,6 @@ def count_quad_points(a: int, t: int) -> int:
             lo, hi = a * (x - t), a * t
         total += hi - lo + 1
     return total
-
-
-def count_simplex_points(d: int, t: int) -> int:
-    """Lattice points of the dilated standard simplex: #{x >= 0, sum x <= t}."""
-    if d < 1 or t < 0:
-        raise ValueError("require d >= 1, t >= 0")
-
-    def rec(i: int, budget: int) -> int:
-        if i == d:
-            return 1
-        return sum(rec(i + 1, budget - v) for v in range(budget + 1))
-
-    return rec(0, t)
 
 
 def interpolate_through(points: list[tuple[int, int]]) -> Poly:

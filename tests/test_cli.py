@@ -86,6 +86,12 @@ def test_usage_errors(capsys):
         ("sign-construct", "--pattern", "+", "--max-base", "5"),
         # a JSON number past float range reads as infinity
         ("ehrhart", "--expr", '{"factors": [{"r": 1e400, "block": {}}]}'),
+        # --expr numbers must be JSON integers, never truncated or parsed
+        ("ehrhart", "--expr", '{"factors": [{"r": 1.5, "block": {"kind": "interval", "m": 2}}]}'),
+        ("ehrhart", "--expr", '{"factors": [{"r": 1, "block": {"kind": "interval", "m": 2.9}}]}'),
+        ("ehrhart", "--expr", '{"factors": [{"r": true, "block": {"kind": "reeve", "m": 2}}]}'),
+        ("ehrhart", "--expr", '{"factors": [{"r": 1, "block": {"kind": "reeve", "m": "13"}}]}'),
+        ("ehrhart", "--expr", '{"factors": [{"r": 1, "block": {"kind": "delta", "q": [1, 1], "n": 13.2}}]}'),
     ],
 )
 def test_domain_errors_are_usage_errors(capsys, argv):
@@ -178,13 +184,12 @@ def test_every_call_ends_in_a_documented_exit_code(argv):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_bad_oracle_guard_env_is_precondition_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", value)
-    code, out, err = run(capsys, "verify", "--q", "1,1", "--n", "13")
+def test_oracle_guard_is_precondition_error(capsys):
+    # t = 0 counts one slice; t = 1 would count n*t = 100001 > MAX_SLICES
+    code, out, err = run(capsys, "verify", "--q", "1,1", "--n", "100001")
     assert code == 65
-    assert "EHRHART_MAX_ORACLE_POINTS" in err and "non-negative integer" in err
-    assert "Traceback" not in err and out == ""
+    assert out == "t=0: oracle=1 closed-form=1 ok\n"
+    assert err == "precondition error: n*t = 100001 exceeds the oracle guard 100000\n"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from ehrsign.ehrhart import (
     sign_vector,
 )
 from ehrsign.eulerian import sdm_hstar
-from ehrsign.oracle import count_quad_points, count_simplex_points, interpolate_through
+from ehrsign.oracle import count_points, count_quad_points, interpolate_through
 from ehrsign.polynomials import Poly, binom_poly
 
 
@@ -97,10 +97,14 @@ def test_quad_closed_form_against_direct_count():
 
 
 def test_std_simplex_against_direct_count():
-    for d in (1, 2, 3):
+    # the d = 1 simplex is [0, 1], whose t-th dilate holds t + 1 points; for
+    # d >= 2 it is Delta(0, (0,...,0)) with n = 1
+    assert block_ehrhart(StdSimplex(1)).poly == Poly((1, 1))
+    for d in (2, 3, 4):
         p = block_ehrhart(StdSimplex(d)).poly
+        s = DeltaQ((0,) * (d - 1), 1)
         for t in range(4):
-            assert p.eval(t) == count_simplex_points(d, t)
+            assert p.eval(t) == count_points(s, t).count
 
 
 def test_ehr_product():

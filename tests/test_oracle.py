@@ -12,16 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrsign import oracle
 from ehrsign.delta import DeltaQ, hstar, hstar_naive
-from ehrsign.ehrhart import ReeveT, block_ehrhart, from_hstar
+from ehrsign.ehrhart import ReeveT, block_ehrhart, ehr_dilate, from_hstar
 from ehrsign.eulerian import EulerianS, sdm_ehrhart
 from ehrsign.oracle import (
-    DEFAULT_MAX_POINTS,
+    MAX_SLICES,
     DilationCount,
     OracleGuardError,
     count_points,
     count_quad_points,
-    count_simplex_points,
     hstar_via_counts,
     interpolate_ehrhart,
     interpolate_through,
@@ -83,7 +83,7 @@ def test_slice_counts_match_walk_exhaustively(d):
                                      ((-3, -2), 6), ((1, -1, 1), 1), ((0, 2, -2), 2)])
 def test_slice_counts_match_walk_up_to_the_guard(monkeypatch, head, n):
     guard = 12 if len(head) < 3 else 8
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", str(guard))
+    monkeypatch.setattr(oracle, "MAX_SLICES", guard)
     s = DeltaQ(head, n)
     last = guard // n
     for t in range(last + 1):
@@ -123,9 +123,11 @@ def test_count_reeve():
 
 
 def test_count_unit_simplex():
-    s = DeltaQ((0, 0), 1)
-    for t in range(0, 5):
-        assert count_points(s, t).count == math.comb(t + 3, 3)
+    # the standard simplex is Delta(0, (0,...,0)) with n = 1
+    for d in (2, 3, 4):
+        s = DeltaQ((0,) * (d - 1), 1)
+        for t in range(6):
+            assert count_points(s, t).count == math.comb(t + d, d), (d, t)
 
 
 def test_count_square_like():
@@ -149,21 +151,23 @@ def test_guards():
 
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_count_eulerian_simplex_matches_closed_form(d):
-    # S_d(1) is Delta(0,q) with n = d!, so the guard admits t <= 10000 // d!
+    # S_d(1) is Delta(0,q) with n = d!, so the guard admits t <= MAX_SLICES // d!
     s = EulerianS(d, 1).delta
-    for t in range(min(d + 2, DEFAULT_MAX_POINTS // s.n) + 1):
+    for t in range(min(d + 2, MAX_SLICES // s.n) + 1):
         assert count_points(s, t).count == sdm_ehrhart(d, 1).eval(t), (d, t)
 
 
-@pytest.mark.parametrize("d, m", [(d, m) for d in (5, 6, 7) for m in (2, 3)])
-def test_count_eulerian_block_matches_closed_form(monkeypatch, d, m):
+@pytest.mark.parametrize(
+    "d, m", [(d, m) for d in (5, 6, 7) for m in (2, 3)] + [(8, 1), (8, 2)]
+)
+def test_count_eulerian_block_matches_closed_form(d, m):
     # EulerianS(d, m) is Delta(0, sdm_q_head(d)) with n = d!*m; the paper's
-    # i(S_d(m), t) = m*t^d + sum_{i<d} C(d, i)*t^i, counted to n*t <= 10^5
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", str(10**5))
+    # i(S_d(m), t) = m*t^d + sum_{i<d} C(d, i)*t^i, counted to n*t <= MAX_SLICES
+    # (S_8(1) to t = 2, S_8(2) to t = 1)
     s = EulerianS(d, m).delta
     assert s.n == math.factorial(d) * m
     closed = block_ehrhart(EulerianS(d, m))
-    for t in range(min(3, 10**5 // s.n) + 1):
+    for t in range(min(3, MAX_SLICES // s.n) + 1):
         expected = m * t**d + sum(math.comb(d, i) * t**i for i in range(d))
         assert count_points(s, t).count == sdm_ehrhart(d, m).eval(t) == expected, (d, m, t)
         assert closed.eval(t) == expected
@@ -178,21 +182,17 @@ def test_count_reeve_block_matches_closed_form(m):
         assert count_points(s, t).count == block_ehrhart(ReeveT(m)).eval(t) == closed, (m, t)
 
 
-def test_guard_env_override(monkeypatch):
-    s = DeltaQ((1, 1), 13)
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", "5")
-    with pytest.raises(OracleGuardError):
-        count_points(s, 1)
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", "100000")
-    assert count_points(s, 1).count == 4
-
-
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_guard_env_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("EHRHART_MAX_ORACLE_POINTS", value)
-    match = "EHRHART_MAX_ORACLE_POINTS=.* non-negative integer"
-    with pytest.raises(OracleGuardError, match=match):
-        count_points(DeltaQ((1, 1), 13), 1)
+def test_count_dilate_matches_ehr_dilate():
+    # i(r*P, t) = i(P, r*t): count r*t*Delta(0,q) against the dilated closed form
+    rng = random.Random(17)
+    for _ in range(12):
+        d = rng.randint(2, 4)
+        s = DeltaQ(tuple(rng.randint(-6, 6) for _ in range(d - 1)), rng.randint(1, 9))
+        ehr = from_hstar(hstar(s), s.d)
+        for r in (2, 3):
+            dilated = ehr_dilate(ehr, r)
+            for t in range(4):
+                assert count_points(s, r * t).count == dilated.eval(t), (s, r, t)
 
 
 def test_interpolate_reeve():
@@ -274,12 +274,6 @@ def test_count_quad_points():
             assert count_quad_points(a, t) == a * t * t + 2 * t + 1, (a, t)
     with pytest.raises(ValueError):
         count_quad_points(0, 1)
-
-
-def test_count_simplex_points():
-    for d in (1, 2, 3, 4):
-        for t in range(0, 6):
-            assert count_simplex_points(d, t) == math.comb(t + d, d)
 
 
 def test_interpolate_through():
