@@ -123,10 +123,16 @@ def test_count_reeve():
 
 
 def test_count_unit_simplex():
-    # the standard simplex is Delta(0, (0,...,0)) with n = 1
-    for d in (2, 3, 4):
+    s = DeltaQ((0, 0), 1)
+    for t in range(0, 5):
+        assert count_points(s, t).count == math.comb(t + 3, 3)
+
+
+def test_count_simplex_points():
+    # the standard d-simplex is Delta(0, (0,...,0)) with n = 1
+    for d in (2, 3, 4, 5):
         s = DeltaQ((0,) * (d - 1), 1)
-        for t in range(6):
+        for t in range(0, 6):
             assert count_points(s, t).count == math.comb(t + d, d), (d, t)
 
 
