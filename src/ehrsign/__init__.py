@@ -40,13 +40,7 @@ _EXPORTS = {
         "sdm_ehrhart",
         "sdm_hstar",
     ),
-    "oracle": (
-        "DilationCount",
-        "OracleGuardError",
-        "count_points",
-        "hstar_via_counts",
-        "interpolate_ehrhart",
-    ),
+    "oracle": ("DilationCount", "OracleGuardError", "count_points"),
     "ehrhart": (
         "Delta",
         "EhrhartPoly",

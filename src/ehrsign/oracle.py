@@ -1,9 +1,10 @@
 """Lattice-point ground truth.
 
 Counts lattice points of dilates of Delta(0,q) (and of the 2-D quad block)
-straight from the defining inequalities, then recovers Ehrhart and
-h*-polynomials by interpolation.  Everything is exact integer arithmetic:
-membership in t*Delta(0,q) is tested with the inequalities scaled by n.
+straight from the defining inequalities.  A closed form i(t) is checked
+against these counts pointwise; agreement at t = 0..d fixes a degree-d
+polynomial.  Everything is exact integer arithmetic: membership in
+t*Delta(0,q) is tested with the inequalities scaled by n.
 
 t*Delta(0,q) is counted one x_d slice at a time.  With x_d fixed, each
 barycentric coordinate lam_i = x_i - q_i*x_d/n (i < d) is its smallest
@@ -18,10 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .delta import DeltaQ, HStar
-from .polynomials import Poly
+from .delta import DeltaQ
 
 
 class OracleGuardError(ValueError):
@@ -78,35 +77,6 @@ def count_points(s: DeltaQ, t: int) -> DilationCount:
     return DilationCount(t, total, interior)
 
 
-def interpolate_ehrhart(s: DeltaQ) -> Poly:
-    """Lagrange interpolation of the counting function through t = 0..d."""
-    return interpolate_through(
-        [(t, count_points(s, t).count) for t in range(s.d + 1)]
-    )
-
-
-def hstar_via_counts(s: DeltaQ) -> HStar:
-    """Recover h* from counts at t = 0..d by inverting
-    i(t) = sum_i h_i * C(t + d - i, d) (a triangular system), then check the
-    lattice-point identities h_1 = count(1) - (d+1), h_d = interior(1)."""
-    d = s.d
-    counts = [count_points(s, t) for t in range(d + 1)]
-    h = [0] * (d + 1)
-    for t in range(d + 1):
-        acc = counts[t].count
-        for i in range(t):
-            acc -= h[i] * math.comb(t + d - i, d)
-        # at t the first new unknown is h_t with coefficient C(d, d) = 1
-        h[t] = acc
-    result = HStar(Poly(h), d)
-    c1 = counts[1]
-    if result.poly[1] != c1.count - (d + 1):
-        raise AssertionError("h_1 != count(1) - (d+1)")
-    if result.poly[d] != c1.interior_count:
-        raise AssertionError("h_d != interior count at t=1")
-    return result
-
-
 def count_quad_points(a: int, t: int) -> int:
     """Lattice points of t * conv{(0,0),(1,0),(2,a),(1,a)} by column scan."""
     if a < 1 or t < 0:
@@ -119,17 +89,3 @@ def count_quad_points(a: int, t: int) -> int:
             lo, hi = a * (x - t), a * t
         total += hi - lo + 1
     return total
-
-
-def interpolate_through(points: list[tuple[int, int]]) -> Poly:
-    """Exact Lagrange interpolation through arbitrary integer points."""
-    poly = Poly.zero()
-    for i, (ti, yi) in enumerate(points):
-        basis = Poly.one()
-        denom = 1
-        for j, (tj, _) in enumerate(points):
-            if j != i:
-                basis = basis * Poly((-tj, 1))
-                denom *= ti - tj
-        poly = poly + basis.scale(Fraction(yi, denom))
-    return poly

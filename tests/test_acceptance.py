@@ -9,6 +9,7 @@ import time
 
 from ehrsign.delta import (
     DeltaQ,
+    hstar,
     hstar_family,
     hstar_fast,
     hstar_naive,
@@ -27,7 +28,7 @@ from ehrsign.eulerian import (
     sdm_ehrhart,
     sdm_hstar,
 )
-from ehrsign.oracle import hstar_via_counts, interpolate_ehrhart
+from ehrsign.oracle import count_points
 from ehrsign.polynomials import Poly, poly_to_text
 from ehrsign.signpattern import WeightTable, construct, construct_case6, predict_signs, target_pattern, verify_expr
 from fractions import Fraction
@@ -89,9 +90,13 @@ def test_criterion_3_oracle_equivalence():
         head = tuple(rng.randint(-6, 6) for _ in range(d - 1))
         s = DeltaQ(head, rng.randint(1, 20))
         h = hstar_naive(s)
-        assert interpolate_ehrhart(s) == from_hstar(h, d).poly, s
-        # hstar_via_counts re-checks the h1/h_d lattice identities internally
-        assert hstar_via_counts(s) == h, s
+        # agreement at t = 0..d fixes the degree-d polynomial
+        ehr = from_hstar(h, d)
+        counts = [count_points(s, t) for t in range(d + 1)]
+        assert [c.count for c in counts] == [ehr.eval(t) for t in range(d + 1)], s
+        # the lattice identities h_1 = count(1) - (d+1), h_d = interior(1)
+        assert h.poly[1] == counts[1].count - (d + 1), s
+        assert h.poly[d] == counts[1].interior_count, s
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"oracle sweep took {elapsed:.1f} s"
     _report(3, f"50 instances in {elapsed:.1f} s")
@@ -163,9 +168,13 @@ def test_criterion_7_sdm():
             p = sdm_ehrhart(d, m)
             assert p[d] == m and all(p[i] == math.comb(d, i) for i in range(d))
             assert p == from_hstar(h, d).poly, (d, m)
-    for d in range(2, 7):
+    # hstar in the paper's regime, up to d = 10: n = m*d! and sum |r| = n - 1
+    for d in range(2, 11):
         for m in (1, 2):
-            assert sdm_hstar(d, m) == hstar_naive(EulerianS(d, m).delta), (d, m)
+            s = EulerianS(d, m).delta
+            assert sdm_hstar(d, m) == hstar(s), (d, m)
+            if d <= 6:
+                assert sdm_hstar(d, m) == hstar_naive(s), (d, m)
     h = sdm_hstar(6, 10).poly
     chain = [h[0], h[6], h[1], h[5], h[2], h[4], h[3]]
     assert h[0] == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ehrsign
 from ehrsign import cli
+from ehrsign.delta import DeltaQ, hstar
 from ehrsign.oracle import DilationCount
 from ehrsign.polynomials import poly_from_json
 from ehrsign.signpattern import construct, parse_pattern
@@ -225,7 +226,7 @@ def test_help_exits_zero(capsys, argv, shown):
 
 
 def test_exports_resolve_to_their_defining_modules():
-    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 56
+    assert len(ehrsign.__all__) == len(set(ehrsign.__all__)) == 54
     for name in ehrsign.__all__:
         obj = getattr(ehrsign, name)
         assert obj.__module__.startswith("ehrsign.")
@@ -234,6 +235,14 @@ def test_exports_resolve_to_their_defining_modules():
     assert ehrsign.signpattern is sys.modules["ehrsign.signpattern"]
     with pytest.raises(AttributeError):
         ehrsign.no_such_name
+    # here every submodule is loaded already; a fresh interpreter imports one on
+    # the attribute read
+    proc = run_fresh(
+        "import sys, ehrsign\n"
+        "assert 'ehrsign.oracle' not in sys.modules\n"
+        "assert ehrsign.oracle is sys.modules['ehrsign.oracle']"
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fast_method_past_the_old_precondition(capsys):
@@ -254,10 +263,20 @@ def test_family(capsys):
 
 
 def test_family_json(capsys):
-    code, out, _ = run(capsys, "family", "--q", "-3,-2", "--n", "6", "--json")
+    argv = ("family", "--q", "-3,-2", "--n", "6", "--json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     obj = json.loads(out)
     assert poly_from_json(obj["L1"]).coeffs == (1, 4, 1)
+    assert "hstar_m" not in obj
+    code, out, _ = run(capsys, *argv, "--m", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert poly_from_json(obj["L1"]).coeffs == (1, 4, 1)
+    # the m = 2 member is Delta(0, (-3, -2)) with n = 12
+    h_m = poly_from_json(obj["hstar_m"])
+    assert h_m.coeffs == (1, 5, 5, 1)
+    assert h_m == hstar(DeltaQ((-3, -2), 12)).poly
 
 
 def test_family_divisibility_exit_code(capsys):

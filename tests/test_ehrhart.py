@@ -26,7 +26,7 @@ from ehrsign.ehrhart import (
     sign_vector,
 )
 from ehrsign.eulerian import sdm_hstar
-from ehrsign.oracle import count_points, count_quad_points, interpolate_through
+from ehrsign.oracle import count_points, count_quad_points
 from ehrsign.polynomials import Poly, binom_poly
 
 
@@ -89,11 +89,12 @@ def test_block_ehrhart_closed_forms():
 
 
 def test_quad_closed_form_against_direct_count():
-    # establish a*t^2 + 2t + 1 by interpolating raw 2-D counts first
+    # a*t^2 + 2t + 1 matches raw 2-D counts at t = 0, 1, 2, which fix a quadratic
     for a in (1, 2, 3):
-        pts = [(t, count_quad_points(a, t)) for t in (0, 1, 2)]
-        assert interpolate_through(pts) == Poly((1, 2, a))
-        assert block_ehrhart(Quad(a)).poly == Poly((1, 2, a))
+        closed = block_ehrhart(Quad(a))
+        assert closed.poly == Poly((1, 2, a))
+        for t in (0, 1, 2):
+            assert count_quad_points(a, t) == closed.eval(t), (a, t)
 
 
 def test_std_simplex_against_direct_count():

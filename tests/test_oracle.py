@@ -1,7 +1,8 @@
 """The lattice oracle is the ground truth the closed forms are judged
 against, so its own tests lean on hand-countable instances, internal
-consistency (interpolation honesty, monotonicity, the h1/h_d identities),
-and a point-by-point enumeration that the per-slice counts must match."""
+consistency (monotonicity, the h1/h_d identities), a point-by-point
+enumeration that the per-slice counts must match, and pointwise agreement
+with the closed forms at t = 0..d and past it."""
 
 import itertools
 import math
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrsign import oracle
-from ehrsign.delta import DeltaQ, hstar, hstar_naive
-from ehrsign.ehrhart import ReeveT, block_ehrhart, ehr_dilate, from_hstar
+from ehrsign.delta import DeltaQ, HStar, hstar, hstar_naive
+from ehrsign.ehrhart import Quad, ReeveT, block_ehrhart, ehr_dilate, from_hstar
 from ehrsign.eulerian import EulerianS, sdm_ehrhart
 from ehrsign.oracle import (
     MAX_SLICES,
@@ -22,9 +23,6 @@ from ehrsign.oracle import (
     OracleGuardError,
     count_points,
     count_quad_points,
-    hstar_via_counts,
-    interpolate_ehrhart,
-    interpolate_through,
 )
 from ehrsign.polynomials import Poly
 
@@ -60,6 +58,20 @@ def walk_count(s: DeltaQ, t: int) -> tuple[int, int]:
 def counts(s: DeltaQ, t: int) -> tuple[int, int]:
     c = count_points(s, t)
     return c.count, c.interior_count
+
+
+def check_counts_against_hstar(s: DeltaQ, h: HStar, ts) -> None:
+    """count_points(s, t) == from_hstar(h).eval(t) at each t, and the lattice
+    identities h_1 = count(1) - (d+1), h_d = interior(1).  A degree-d
+    polynomial is fixed by its values at t = 0..d, and from_hstar is
+    injective, so agreement there holds exactly when interpolating the counts
+    gives from_hstar(h), and exactly when the h* the counts determine is h."""
+    ehr = from_hstar(h, s.d)
+    for t in ts:
+        assert count_points(s, t).count == ehr.eval(t), (s, t)
+    one = count_points(s, 1)
+    assert h.poly[1] == one.count - (s.d + 1), s
+    assert h.poly[s.d] == one.interior_count, s
 
 
 def small_heads(d: int, n: int):
@@ -181,11 +193,31 @@ def test_count_eulerian_block_matches_closed_form(d, m):
 
 @pytest.mark.parametrize("m", [1, 2, 6, 12, 13, 40])
 def test_count_reeve_block_matches_closed_form(m):
-    # ReeveT(m) is Delta(0,(1,1)) with n = m; i(t) = m/6 t^3 + t^2 + (12-m)/6 t + 1
+    # ReeveT(m) is Delta(0,(1,1)) with n = m; i(t) = m/6 t^3 + t^2 + (12-m)/6 t + 1,
+    # whose t coefficient is 0 at m = 12
     s = DeltaQ((1, 1), m)
     for t in range(6):
         closed = Fraction(m * t**3 + (12 - m) * t, 6) + t * t + 1
         assert count_points(s, t).count == block_ehrhart(ReeveT(m)).eval(t) == closed, (m, t)
+
+
+def test_interpolate_reeve():
+    # m=2 Reeve tetrahedron: (2/6)t^3 + t^2 + (10/6)t + 1; the counts at
+    # t = 0..3 fix the cubic, so matching it there is matching the polynomial
+    s = DeltaQ((1, 1), 2)
+    p = Poly((1, Fraction(5, 3), 1, Fraction(1, 3)))
+    assert from_hstar(hstar(s), s.d).poly == p
+    for t in range(s.d + 1):
+        assert count_points(s, t).count == p.eval(t), t
+
+
+def test_interpolate_degenerate_zero_coefficient():
+    # m=12 Reeve tetrahedron has t-coefficient (12-12)/6 = 0
+    s = DeltaQ((1, 1), 12)
+    p = Poly((1, 0, 1, 2))
+    assert from_hstar(hstar(s), s.d).poly == p
+    for t in range(s.d + 1):
+        assert count_points(s, t).count == p.eval(t), t
 
 
 def test_count_dilate_matches_ehr_dilate():
@@ -201,29 +233,6 @@ def test_count_dilate_matches_ehr_dilate():
                 assert count_points(s, r * t).count == dilated.eval(t), (s, r, t)
 
 
-def test_interpolate_reeve():
-    # m=2 Reeve tetrahedron: (2/6)t^3 + t^2 + (10/6)t + 1
-    p = interpolate_ehrhart(DeltaQ((1, 1), 2))
-    assert p == Poly((1, Fraction(5, 3), 1, Fraction(1, 3)))
-
-
-def test_interpolate_degenerate_zero_coefficient():
-    # m=12 Reeve tetrahedron has t-coefficient (12-12)/6 = 0
-    p = interpolate_ehrhart(DeltaQ((1, 1), 12))
-    assert p == Poly((1, 0, 1, 2))
-
-
-def test_interpolation_honesty_out_of_sample():
-    rng = random.Random(5)
-    for _ in range(15):
-        d = rng.randint(2, 4)
-        head = tuple(rng.randint(-4, 4) for _ in range(d - 1))
-        s = DeltaQ(head, rng.randint(1, 8))
-        p = interpolate_ehrhart(s)
-        for t in (d + 1, d + 2):
-            assert p.eval(t) == count_points(s, t).count, s
-
-
 def test_counts_monotone():
     s = DeltaQ((2, -1), 5)
     prev = 0
@@ -233,18 +242,22 @@ def test_counts_monotone():
         prev = c
 
 
-def test_hstar_via_counts_matches_naive():
-    rng = random.Random(11)
-    for _ in range(25):
+@pytest.mark.parametrize(
+    "seed, count, q_max, n_max", [(3, 15, 4, 10), (5, 15, 4, 8), (11, 25, 5, 12)]
+)
+def test_counts_match_naive_hstar_pointwise(seed, count, q_max, n_max):
+    # t = d+1, d+2 lie past the d+1 values that fix the polynomial
+    rng = random.Random(seed)
+    for _ in range(count):
         d = rng.randint(2, 4)
-        head = tuple(rng.randint(-5, 5) for _ in range(d - 1))
-        s = DeltaQ(head, rng.randint(1, 12))
-        assert hstar_via_counts(s) == hstar_naive(s), s
+        head = tuple(rng.randint(-q_max, q_max) for _ in range(d - 1))
+        s = DeltaQ(head, rng.randint(1, n_max))
+        check_counts_against_hstar(s, hstar_naive(s), range(d + 3))
 
 
-def test_hstar_via_counts_matches_bigint_naive():
+def test_counts_match_bigint_naive_hstar():
     # |q_i|(n-1) >= 2^62 sends hstar_naive down its big-int path; n*d stays
-    # within the oracle's default guard
+    # within the oracle's guard
     rng = random.Random(13)
     for _ in range(12):
         d = rng.randint(2, 4)
@@ -253,35 +266,20 @@ def test_hstar_via_counts_matches_bigint_naive():
         )
         s = DeltaQ(head, rng.randint(64, 10_000 // d))
         assert max(abs(q) for q in s.q_full) * (s.n - 1) >= 2**62, s
-        assert hstar_naive(s) == hstar_via_counts(s), s
+        check_counts_against_hstar(s, hstar_naive(s), range(d + 1))
 
 
-def test_hstar_via_counts_examples():
-    assert hstar_via_counts(DeltaQ((1, 1), 13)).poly == Poly((1, 0, 12))
-    assert hstar_via_counts(DeltaQ((-3, -2), 6)).poly == Poly((1, 4, 1))
-    assert hstar_via_counts(DeltaQ((0, 0), 1)).poly == Poly.one()
-
-
-def test_interpolate_matches_hstar_conversion():
-    rng = random.Random(3)
-    for _ in range(15):
-        d = rng.randint(2, 4)
-        head = tuple(rng.randint(-4, 4) for _ in range(d - 1))
-        s = DeltaQ(head, rng.randint(1, 10))
-        direct = interpolate_ehrhart(s)
-        via_h = from_hstar(hstar_naive(s), d).poly
-        assert direct == via_h, s
+def test_counts_match_known_hstar():
+    for head, n, h in (((1, 1), 13, (1, 0, 12)), ((-3, -2), 6, (1, 4, 1)), ((0, 0), 1, (1,))):
+        s = DeltaQ(head, n)
+        check_counts_against_hstar(s, HStar(Poly(h), s.d), range(s.d + 1))
 
 
 def test_count_quad_points():
-    # t * conv{(0,0),(1,0),(2,a),(1,a)} should count to a*t^2 + 2t + 1
+    # t * conv{(0,0),(1,0),(2,a),(1,a)} against the Quad block's closed form
     for a in (1, 2, 3, 5):
+        closed = block_ehrhart(Quad(a))
         for t in range(0, 6):
-            assert count_quad_points(a, t) == a * t * t + 2 * t + 1, (a, t)
+            assert count_quad_points(a, t) == closed.eval(t), (a, t)
     with pytest.raises(ValueError):
         count_quad_points(0, 1)
-
-
-def test_interpolate_through():
-    pts = [(0, 1), (1, 3), (2, 7)]  # 1 + t + t^2
-    assert interpolate_through(pts) == Poly((1, 1, 1))
