@@ -49,13 +49,14 @@ class EhrhartPoly:
         return out
 
     def _store(self, num: Poly, den: int, dim: int) -> None:
-        if num[0] != den:
+        cs = num.coeffs
+        if cs[0] != den:
             raise ValueError("Ehrhart polynomial must have constant term 1")
-        if num.degree != dim:
+        if len(cs) - 1 != dim:
             raise ValueError(f"degree {num.degree} != dimension {dim}")
-        if num[dim] <= 0:
+        if cs[dim] <= 0:
             raise ValueError("leading coefficient (volume) must be positive")
-        if dim >= 1 and num[dim - 1] <= 0:
+        if dim >= 1 and cs[dim - 1] <= 0:
             raise ValueError("second coefficient (half boundary volume) must be positive")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -236,8 +237,8 @@ def sign_vector(a: EhrhartPoly) -> tuple[int, ...]:
     """(sgn(c_{d-2}), ..., sgn(c_1)); defined only for dim >= 3."""
     if a.dim < 3:
         raise ValueError("sign vector needs dim >= 3 (no middle coefficients)")
-    num = a.num  # den > 0, so the numerators carry the signs
-    return tuple(_sgn(num[i]) for i in range(a.dim - 2, 0, -1))
+    # den > 0, so the numerators carry the signs; num has degree dim
+    return tuple(map(_sgn, a.num.coeffs[a.dim - 2 : 0 : -1]))
 
 
 # --- JSON wire format --------------------------------------------------------

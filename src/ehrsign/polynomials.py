@@ -18,6 +18,9 @@ from typing import Iterable, Union
 Coeff = Union[int, Fraction]
 
 
+_INT_ONLY = frozenset({int})
+
+
 def _norm_coeff(c: Coeff) -> Coeff:
     if type(c) is int:  # the common case; skips the ABC isinstance check
         return c
@@ -35,7 +38,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = (0,)):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
+        if set(map(type, cs)) != _INT_ONLY:  # all-int input is already normal
+            cs = [_norm_coeff(c) for c in cs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -98,12 +103,13 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):  # the longer factor in the inner loop
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            if ca:
+                for k, cb in enumerate(b, i):
+                    out[k] += ca * cb
         return Poly(out)
 
     def scale(self, c: Coeff) -> "Poly":
@@ -138,7 +144,13 @@ class Poly:
         """Return p(r*t): coefficient of t^i multiplied by r^i."""
         if r < 1:
             raise ValueError("dilation factor must be a positive integer")
-        return Poly(tuple(c * r**i for i, c in enumerate(self.coeffs)))
+        cs = self.coeffs
+        out = [cs[0]]
+        power = 1
+        for c in cs[1:]:
+            power *= r
+            out.append(c * power)
+        return Poly(out)
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"

@@ -334,14 +334,16 @@ def _product_threshold(p1, d1: int, p2, pattern: Pattern, d: int) -> int | None:
     ratio of the residual mass to the dominant term (both over the same
     den1 * den2).  None when a dominant term's sign contradicts the pattern
     (this split cannot work)."""
+    a = p1.coeffs  # degree d1 >= k_star
+    b = p2.coeffs + (0,) * (d - len(p2.coeffs))  # j - k runs past its degree
     r0 = 2
     for idx, s in enumerate(pattern):
         j = d - 2 - idx
         k_star = min(j, d1)
-        dom = p1[k_star] * p2[j - k_star]
+        dom = a[k_star] * b[j - k_star]
         if dom == 0 or _sgn(dom) != s:
             return None
-        rest = sum(abs(p1[k] * p2[j - k]) for k in range(k_star))
+        rest = sum(abs(a[k] * b[j - k]) for k in range(k_star))
         if rest:
             r0 = max(r0, _floor_ratio(rest, dom) + 1)
     return r0
@@ -385,22 +387,29 @@ def _extend(
     return _certify(expr, ehr_product(qr, block_ehrhart(block)), pattern, step, sub)
 
 
-def _solve_size(qr: Poly, make_block, pattern: Pattern, d: int, case: str) -> int:
-    """Smallest size m >= 1 for which qr * i(make_block(m), t) realizes the
-    pattern, qr the integer numerator of the dilated sub-witness.  A block's
-    polynomial is affine in m, with slope P(2) - P(1) and intercept
-    2P(1) - P(2) for P(m) its closed form; scaled by the lcm of the two
-    members' denominators, the middle coefficients are A_j*m + B_j over one
-    positive denominator, A_j and B_j integers.  SearchExhausted when an A_j
-    sign (a B_j sign where A_j = 0) points the wrong way."""
+@lru_cache(maxsize=None)
+def _size_line(make_block) -> tuple[Poly, Poly]:
+    """Slope P(2) - P(1) and intercept 2P(1) - P(2) of a block's polynomial
+    P(m), which is affine in its size m, as integer numerators scaled by the
+    lcm of the two members' denominators (one positive denominator)."""
     e1, e2 = (block_ehrhart(make_block(m)) for m in (1, 2))
     den = math.lcm(e1.den, e2.den)
     p1, p2 = e1.num.scale(den // e1.den), e2.num.scale(den // e2.den)
-    A, B = qr * (p2 - p1), qr * (p1.scale(2) - p2)
+    return p2 - p1, p1.scale(2) - p2
+
+
+def _solve_size(qr: Poly, make_block, pattern: Pattern, d: int, case: str) -> int:
+    """Smallest size m >= 1 for which qr * i(make_block(m), t) realizes the
+    pattern, qr the integer numerator of the dilated sub-witness.  With the
+    block's `_size_line`, the middle coefficients are A_j*m + B_j over one
+    positive denominator, A_j and B_j integers.  SearchExhausted when an A_j
+    sign (a B_j sign where A_j = 0) points the wrong way."""
+    slope, intercept = _size_line(make_block)
+    # qr has degree d - k for a block of dimension k, slope and intercept
+    # degrees k and k - 1, so both products reach index d - 2
+    A, B = (qr * slope).coeffs, (qr * intercept).coeffs
     need = 1
-    for idx, s in enumerate(pattern):
-        j = d - 2 - idx
-        a, b = A[j], B[j]
+    for s, a, b in zip(pattern, A[d - 2 : 0 : -1], B[d - 2 : 0 : -1]):
         if _sgn(b if a == 0 else a) != s:
             raise SearchExhausted(case, pattern)
         if _sgn(b) != s:
@@ -428,8 +437,8 @@ def _construct(pattern: Pattern) -> ConstructResult:
     # |c_{j-1}/c_j| ratio keeps every middle sign equal to sgn(c_j).
     if pattern[0] == 1:
         sub = _construct(pattern[1:])
-        c = sub.ehrhart.num
-        r = 1 + max(_floor_ratio(c[j - 1], c[j]) for j in range(1, d - 1))
+        c = sub.ehrhart.num.coeffs
+        r = 1 + max(map(_floor_ratio, c[: d - 2], c[1 : d - 1]))
         qr = ehr_dilate(sub.ehrhart, r)
         return _extend(sub, r, qr, Interval(1), pattern, f"case1[r={decimal_str(r)}]")
 
@@ -444,10 +453,11 @@ def _construct(pattern: Pattern) -> ConstructResult:
     # negated inner pattern.  The m-slope of i(ReeveT(m), t) is (t^3 - t)/6:
     # with u_j = r^j c_j the m-coefficient is (u_{j-3} - u_{j-1})/6, dominated
     # by -u_{j-1} once r clears every |c_{j-3}/c_{j-1}| ratio; then solve for m.
+    # (The ratios start at j = 3: below it c_{j-3} is 0.)
     if pattern[0] == -1 and pattern[1] == -1 and pattern[-1] == -1:
         sub = _construct(tuple(-s for s in pattern[2:-1]))
-        c = sub.ehrhart.num
-        r = 1 + max(_floor_ratio(c[j - 3], c[j - 1]) for j in range(1, d - 1))
+        c = sub.ehrhart.num.coeffs
+        r = 1 + max(map(_floor_ratio, c[: d - 4], c[2 : d - 2]))
         qr = ehr_dilate(sub.ehrhart, r)
         m = _solve_size(qr.num, ReeveT, pattern, d, "case3")
         step = f"case3[r={decimal_str(r)},m={decimal_str(m)}]"

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ehrsign.delta import DeltaQ, HStar, hstar_family, hstar_naive, l1_l2
+from ehrsign.delta import DeltaQ, HStar, hstar_family, hstar_fast, hstar_naive, l1_l2
 from ehrsign.eulerian import (
     EulerianS,
     aleph,
@@ -135,6 +135,13 @@ def test_sdm_hstar_matches_lattice_definition():
     for d in range(2, 6):
         for m in (1, 2):
             assert sdm_hstar(d, m) == hstar_naive(EulerianS(d, m).delta), (d, m)
+
+
+def test_breakpoint_pass_on_sdm_past_d8():
+    # hstar sends S_9(m) to the direct sum (_direct_sum_pays), so only a
+    # direct call reaches the breakpoint pass at d = 9
+    for m in (1, 2):
+        assert hstar_fast(EulerianS(9, m).delta) == sdm_hstar(9, m), m
 
 
 def test_sdm_is_family_member():

@@ -1,11 +1,13 @@
 """Hypothesis property tests: the fast path against the naive summation,
 and structural identities that should hold on arbitrary valid inputs."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrsign.delta import DeltaQ, difference_poly, hstar, hstar_fast, hstar_naive, reduce_q
-from ehrsign.ehrhart import from_hstar
+from ehrsign.ehrhart import EhrhartPoly, _sgn, from_hstar, sign_vector
 from ehrsign.eulerian import lehmer_decode, lehmer_encode
 from ehrsign.polynomials import Poly
 
@@ -107,3 +109,44 @@ def test_poly_ring_laws(a, b):
     assert (p - q) + q == p
     assert p * Poly.one() == p
     assert (p * q).eval(3) == p.eval(3) * q.eval(3)
+
+
+@given(st.lists(st.tuples(st.integers(-(10**30), 10**30), st.booleans()), max_size=10))
+@settings(max_examples=60)
+def test_poly_coeffs_do_not_depend_on_int_or_integral_fraction_input(pairs):
+    # all-int input skips normalisation; Fraction(k, 1) input, alone or mixed
+    # with ints, must normalise to the same int coefficients
+    cs = [c for c, _ in pairs]
+    mixed = [Fraction(c) if as_fraction else c for c, as_fraction in pairs]
+    ints, fracs, mix = Poly(cs), Poly(Fraction(c) for c in cs), Poly(mixed)
+    assert ints.coeffs == fracs.coeffs == mix.coeffs
+    for p in (ints, fracs, mix):
+        assert all(type(c) is int for c in p.coeffs)
+
+
+@given(
+    st.lists(st.integers(-(10**20), 10**20) | st.fractions(max_denominator=30), max_size=10),
+    st.integers(min_value=1, max_value=10**12),
+)
+@settings(max_examples=40)
+def test_compose_scale_is_the_power_formula(cs, r):
+    p = Poly(cs)
+    assert p.compose_scale(r) == Poly(c * r**i for i, c in enumerate(p.coeffs))
+
+
+@st.composite
+def ehrhart_polys(draw):
+    """num/den with constant term den, positive top two coefficients, and
+    middle coefficients of any sign, zero included."""
+    dim = draw(st.integers(min_value=3, max_value=12))
+    den = draw(st.integers(min_value=1, max_value=720))
+    coeff = st.integers(-5, 5) | st.integers(-(10**40), 10**40)
+    mid = draw(st.lists(coeff, min_size=dim - 2, max_size=dim - 2))
+    top = draw(st.lists(st.integers(min_value=1, max_value=10**40), min_size=2, max_size=2))
+    return EhrhartPoly.from_num(Poly([den, *mid, *top]), den, dim)
+
+
+@given(ehrhart_polys())
+@settings(max_examples=60)
+def test_sign_vector_is_the_per_index_sign(e):
+    assert sign_vector(e) == tuple(_sgn(e.num[i]) for i in range(e.dim - 2, 0, -1))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -315,3 +317,35 @@ def test_expr_json_emitted_by_construct_round_trips():
     obj = expr_to_json(res.expr)
     rebuilt = expr_from_json(json.loads(json.dumps(obj)))
     assert expr_ehrhart(rebuilt).poly == res.ehrhart.poly
+
+
+def _feed(h, x):
+    """Hash ints (signed bytes), strings and tuples of them, each tagged and
+    length-prefixed, so no two values share an encoding."""
+    if type(x) is int:
+        b = x.to_bytes(x.bit_length() // 8 + 1, "big", signed=True)
+        h.update(b"i%d:" % len(b) + b)
+    elif type(x) is str:
+        b = x.encode()
+        h.update(b"s%d:" % len(b) + b)
+    else:
+        h.update(b"t%d:" % len(x))
+        for y in x:
+            _feed(h, y)
+
+
+def test_construct_output_is_pinned(fresh_memo):
+    # every witness of lengths 1..10: its factors, its Ehrhart numerator and
+    # denominator, and its trace.  The literal was computed before the integer
+    # fast path through Poly, EhrhartPoly and the constructor's bounds, which
+    # must not change any output.
+    h = hashlib.sha256()
+    for length in range(1, 11):
+        for pattern in all_patterns(length):
+            res = construct(pattern)
+            factors = tuple(
+                (r, type(block).__name__, dataclasses.astuple(block))
+                for r, block in res.expr.factors
+            )
+            _feed(h, (pattern, factors, res.ehrhart.num.coeffs, res.ehrhart.den, res.trace))
+    assert h.hexdigest() == "21f6c2f34bf79140d01b64d13a4a855301632e4c8e3e0fdea58d8bdfc2bc6f10"
