@@ -26,7 +26,7 @@ from ehrsign.ehrhart import (
     sign_vector,
 )
 from ehrsign.eulerian import sdm_hstar
-from ehrsign.oracle import count_points
+from ehrsign.oracle import count_points, count_quad_points
 from ehrsign.polynomials import Poly, binom_poly
 
 
@@ -86,6 +86,15 @@ def test_block_ehrhart_closed_forms():
     )
     d = Delta(DeltaQ((1, 1), 13))
     assert block_ehrhart(d).poly == reeve_poly(13)
+
+
+def test_quad_closed_form_against_direct_count():
+    # a*t^2 + 2t + 1 matches raw 2-D counts at t = 0, 1, 2, which fix a quadratic
+    for a in (1, 2, 3):
+        closed = block_ehrhart(Quad(a))
+        assert closed.poly == Poly((1, 2, a))
+        for t in (0, 1, 2):
+            assert count_quad_points(a, t) == closed.eval(t), (a, t)
 
 
 def test_std_simplex_against_direct_count():
